@@ -9,10 +9,14 @@ Conventions, fixed once so every sign below is determined:
   ``n(theta, phi) = (sin theta sin phi, sin theta cos phi, cos theta)``.
 
 A state with Bloch vector v is ``rho = (I + v . sigma) / 2``.  Outcome
-probabilities, fidelity and trace distance all reduce to closed forms in v;
-the 2x2 matrix representation is kept for construction, validation and
-serialization, and the matrix route is exercised against this module by the
-test oracles.
+probabilities and trace distance reduce to closed forms in v; fidelity is
+evaluated on the three independent matrix entries.  A ``DensityMatrix``
+keeps those entries as scalars and derives its Bloch vector once, at
+construction; the 2x2 ndarray is built only when ``.matrix`` is read (for
+serialization and the test oracles).  The float helpers below
+(``axis_xyz``, ``state_xyz``, ``generated_fidelity``) repeat the object
+API's arithmetic operation for operation, so the estimator's inner loop can
+skip the per-call object validation without changing a single bit.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ __all__ = [
     "MeasurementParams",
     "state_bloch",
     "pure_axis",
+    "axis_xyz",
+    "state_xyz",
+    "generated_fidelity",
     "measurement_axis",
     "outcome_probability",
     "optimal_axis",
@@ -104,6 +111,10 @@ class GeneratorParams:
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("theta and phi must be finite")
 
+    def __iter__(self):
+        """Unpack as the flat floats ``r, theta, phi``."""
+        return iter((self.r, self.theta, self.phi))
+
 
 @dataclass(frozen=True)
 class MeasurementParams:
@@ -116,16 +127,28 @@ class MeasurementParams:
         if not (math.isfinite(self.beta) and math.isfinite(self.gamma)):
             raise ValueError("beta and gamma must be finite")
 
+    def __iter__(self):
+        """Unpack as the flat floats ``beta, gamma``."""
+        return iter((self.beta, self.gamma))
+
+
+def _entries(x: float, y: float, z: float) -> tuple[float, complex, float]:
+    # Top-left, top-right and bottom-right entries of (I + v . sigma) / 2.
+    return 0.5 * (1.0 + z), 0.5 * (x - 1j * y), 0.5 * (1.0 - z)
+
 
 class DensityMatrix:
     """2x2 Hermitian, unit-trace, positive-semidefinite complex matrix.
 
     Hermiticity is enforced exactly by construction (the off-diagonal pair
     is symmetrized), the trace must equal 1 within 1e-12 and both
-    eigenvalues must be >= -1e-12.
+    eigenvalues must be >= -1e-12.  Only the entries ``(m00, m01, m11)`` are
+    stored; ``m10`` is the conjugate of ``m01``.  ``_measured`` is a memo
+    slot for the estimator (the state's Bloch vector after a given noise
+    channel); it takes no part in equality.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_entries", "_bloch", "_measured")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
@@ -143,26 +166,28 @@ class DensityMatrix:
         low = float(np.linalg.eigvalsh(herm)[0])
         if low < -_EIG_TOL:
             raise ValueError(f"matrix is not positive semidefinite (eigenvalue {low!r})")
-        herm.setflags(write=False)
-        self._m = herm
+        self._set(float(herm[0, 0].real), complex(off), float(herm[1, 1].real))
 
-    @classmethod
-    def _trusted(cls, herm: np.ndarray) -> "DensityMatrix":
-        # Internal fast path for matrices valid by construction.
-        obj = object.__new__(cls)
-        herm.setflags(write=False)
-        object.__setattr__(obj, "_m", herm)
-        return obj
+    def _set(self, m00: float, m01: complex, m11: float) -> None:
+        self._entries = (m00, m01, m11)
+        self._measured = None
+        m10 = m01.conjugate()
+        x = 2.0 * m10.real
+        y = 2.0 * m10.imag
+        z = m00 - m11
+        nsq = x * x + y * y + z * z
+        if nsq > 1.0 + _BALL_TOL:
+            # PSD slack of 1e-12 can push |v| a hair past the ball; rescale.
+            s = 1.0 / math.sqrt(nsq)
+            x, y, z = x * s, y * s, z * s
+        self._bloch = BlochVector(x, y, z)
 
     @classmethod
     def from_bloch(cls, v: BlochVector) -> "DensityMatrix":
         """Build (I + v . sigma) / 2 for a vector in the unit ball."""
-        off = 0.5 * (v.x - 1j * v.y)
-        m = np.array(
-            [[0.5 * (1.0 + v.z), off], [np.conj(off), 0.5 * (1.0 - v.z)]],
-            dtype=complex,
-        )
-        return cls._trusted(m)
+        obj = object.__new__(cls)
+        obj._set(*_entries(v.x, v.y, v.z))
+        return obj
 
     @classmethod
     def pure_ground(cls) -> "DensityMatrix":
@@ -174,40 +199,46 @@ class DensityMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._m
+        m00, m01, m11 = self._entries
+        m = np.array([[m00, m01], [m01.conjugate(), m11]], dtype=complex)
+        m.setflags(write=False)
+        return m
 
     def to_bloch(self) -> BlochVector:
-        x = 2.0 * float(self._m[1, 0].real)
-        y = 2.0 * float(self._m[1, 0].imag)
-        z = float((self._m[0, 0] - self._m[1, 1]).real)
-        nsq = x * x + y * y + z * z
-        if nsq > 1.0 + _BALL_TOL:
-            # PSD slack of 1e-12 can push |v| a hair past the ball; rescale.
-            s = 1.0 / math.sqrt(nsq)
-            x, y, z = x * s, y * s, z * s
-        return BlochVector(x, y, z)
+        return self._bloch
 
     def det(self) -> float:
-        m = self._m
-        return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+        return _det(self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrix):
             return NotImplemented
-        return bool(np.array_equal(self._m, other._m))
+        return self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(self._m.tobytes())
+        return hash(self._entries)
 
     def __repr__(self) -> str:
-        v = self.to_bloch()
+        v = self._bloch
         return f"DensityMatrix(bloch=({v.x:.6g}, {v.y:.6g}, {v.z:.6g}))"
+
+
+def axis_xyz(theta: float, phi: float) -> tuple[float, float, float]:
+    """Components of n(theta, phi) as plain floats (see ``pure_axis``)."""
+    st = math.sin(theta)
+    return st * math.sin(phi), st * math.cos(phi), math.cos(theta)
+
+
+def state_xyz(r: float, theta: float, phi: float) -> tuple[float, float, float]:
+    """Components of ``(2r - 1) n(theta, phi)`` as plain floats (see ``state_bloch``)."""
+    w = 2.0 * r - 1.0
+    st = math.sin(theta)
+    return w * (st * math.sin(phi)), w * (st * math.cos(phi)), w * math.cos(theta)
 
 
 def pure_axis(theta: float, phi: float) -> BlochVector:
     """Unit Bloch vector n(theta, phi) = (sin t sin p, sin t cos p, cos t)."""
-    st = math.sin(theta)
-    return BlochVector(st * math.sin(phi), st * math.cos(phi), math.cos(theta))
+    return BlochVector(*axis_xyz(theta, phi))
 
 
 def state_bloch(params: GeneratorParams) -> BlochVector:
@@ -217,9 +248,7 @@ def state_bloch(params: GeneratorParams) -> BlochVector:
     antipodal, so mixing them with weights {r, 1-r} contracts the branch
     axis toward the origin.
     """
-    w = 2.0 * params.r - 1.0
-    n = pure_axis(params.theta, params.phi)
-    return BlochVector(w * n.x, w * n.y, w * n.z)
+    return BlochVector(*state_xyz(params.r, params.theta, params.phi))
 
 
 def measurement_axis(params: MeasurementParams) -> BlochVector:
@@ -276,8 +305,28 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     which the test suite cross-checks against an eigendecomposition of the
     defining expression.
     """
-    cross = float(np.trace(a.matrix @ b.matrix).real)
-    inner = cross + 2.0 * _clamped_sqrt(a.det() * b.det())
+    return _fidelity(a._entries, b._entries)
+
+
+def generated_fidelity(sigma: DensityMatrix, r: float, theta: float, phi: float) -> float:
+    """``fidelity(sigma, rho)`` for the generated state with parameters
+    (r, theta, phi), bit-identical to building rho through ``state_bloch``
+    and ``DensityMatrix.from_bloch`` but without the intermediate objects."""
+    return _fidelity(sigma._entries, _entries(*state_xyz(r, theta, phi)))
+
+
+def _det(e: tuple[float, complex, float]) -> float:
+    # Entry tuples are (m00, m01, m11) with m10 = conj(m01).
+    m00, m01, m11 = e
+    return (m00 * m11 - m01 * m01.conjugate()).real
+
+
+def _fidelity(a: tuple[float, complex, float], b: tuple[float, complex, float]) -> float:
+    # tr(ab) + 2 sqrt(det a det b) in scalar complex arithmetic.
+    a00, a01, a11 = a
+    b00, b01, b11 = b
+    cross = ((a00 * b00 + a01 * b01.conjugate()) + (a01.conjugate() * b01 + a11 * b11)).real
+    inner = cross + 2.0 * _clamped_sqrt(_det(a) * _det(b))
     return min(_clamped_sqrt(inner), 1.0)
 
 

@@ -22,7 +22,7 @@ re-measurements, whatever the counting mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .bloch import (
     GeneratorParams,
     MeasurementParams,
     fidelity,
+    generated_fidelity,
     random_initial_params,
     state_bloch,
 )
@@ -57,8 +58,11 @@ G_TURN = "G"
 TERMINATION_EQUILIBRIUM = "equilibrium"
 TERMINATION_BUDGET = "budget-exhausted"
 
-_G_PARAMS = ("r", "theta", "phi")
-_D_PARAMS = ("beta", "gamma")
+# The game loop carries both strategies as one flat tuple
+# (r, theta, phi, beta, gamma); each player varies its own slice of it.
+_PARAM_INDEX = {"r": 0, "theta": 1, "phi": 2, "beta": 3, "gamma": 4}
+_G_ACTIVE = (0, 1, 2)
+_D_ACTIVE = (3, 4)
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,9 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if not (0.0 < self.fd_delta_angle):
@@ -156,33 +163,29 @@ class GameTrace:
 
 
 def _measure(
-    gen: GeneratorParams,
-    meas: MeasurementParams,
-    sigma: DensityMatrix,
-    config: GameConfig,
-    rng: np.random.Generator,
+    p: tuple, sigma: DensityMatrix, config: GameConfig, rng: np.random.Generator
 ) -> OutcomeEstimate:
-    shots = None if config.exact_mode else config.shots
     return estimate_d(
-        gen, meas, sigma, shots,
-        noise=config.noise, rng=rng, branchwise=config.branchwise,
+        p[:3], p[3:], sigma, None if config.exact_mode else config.shots,
+        config.noise, rng, config.branchwise,
     )
 
 
-def _shifted(
-    gen: GeneratorParams, meas: MeasurementParams, param: str, delta: float
-) -> tuple[GeneratorParams, MeasurementParams]:
-    if param == "r":
-        return replace(gen, r=gen.r + delta), meas
-    if param == "theta":
-        return replace(gen, theta=gen.theta + delta), meas
-    if param == "phi":
-        return replace(gen, phi=gen.phi + delta), meas
-    if param == "beta":
-        return gen, replace(meas, beta=meas.beta + delta)
-    if param == "gamma":
-        return gen, replace(meas, gamma=meas.gamma + delta)
-    raise ValueError(f"unknown parameter {param!r}")
+def _shifted(p: tuple, i: int, delta: float) -> tuple:
+    return p[:i] + (p[i] + delta,) + p[i + 1:]
+
+
+def _partial(
+    i: int, p: tuple, sigma: DensityMatrix, config: GameConfig, rng: np.random.Generator
+) -> float:
+    # finite_diff_gradient along p[i] of the flat parameter tuple.
+    delta = config.fd_delta_r if i == 0 else config.fd_delta_angle
+    base = _measure(p, sigma, config, rng)
+    if i == 0 and p[0] + delta > 1.0:
+        back = _measure(_shifted(p, 0, -delta), sigma, config, rng)
+        return (base.d_hat - back.d_hat) / delta
+    fwd = _measure(_shifted(p, i, delta), sigma, config, rng)
+    return (fwd.d_hat - base.d_hat) / delta
 
 
 def finite_diff_gradient(
@@ -198,16 +201,9 @@ def finite_diff_gradient(
     For r at the upper boundary (r + delta > 1) the offset flips backward:
     (d(r) - d(r - delta)) / delta.
     """
-    delta = config.fd_delta_r if param == "r" else config.fd_delta_angle
-    if param == "r" and gen.r + delta > 1.0:
-        base = _measure(gen, meas, sigma, config, rng)
-        back_gen, back_meas = _shifted(gen, meas, param, -delta)
-        back = _measure(back_gen, back_meas, sigma, config, rng)
-        return (base.d_hat - back.d_hat) / delta
-    base = _measure(gen, meas, sigma, config, rng)
-    fwd_gen, fwd_meas = _shifted(gen, meas, param, delta)
-    fwd = _measure(fwd_gen, fwd_meas, sigma, config, rng)
-    return (fwd.d_hat - base.d_hat) / delta
+    if param not in _PARAM_INDEX:
+        raise ValueError(f"unknown parameter {param!r}")
+    return _partial(_PARAM_INDEX[param], (*gen, *meas), sigma, config, rng)
 
 
 def _step_deltas(turn: str, grads: list[float], config: GameConfig) -> list[float]:
@@ -224,31 +220,15 @@ def _step_deltas(turn: str, grads: list[float], config: GameConfig) -> list[floa
     return [-config.learning_rate * g for g in grads]
 
 
-def _apply_update(
-    gen: GeneratorParams,
-    meas: MeasurementParams,
-    params: tuple[str, ...],
-    deltas: list[float],
-    config: GameConfig,
-) -> tuple[GeneratorParams, MeasurementParams]:
-    r, theta, phi = gen.r, gen.theta, gen.phi
-    beta, gamma = meas.beta, meas.gamma
-    for name, delta in zip(params, deltas):
-        if name == "r":
-            r = min(max(r + config.r_rate_scale * delta, 0.0), 1.0)
-        elif name == "theta":
-            theta += delta
-        elif name == "phi":
-            phi += delta
-        elif name == "beta":
-            beta += delta
-        elif name == "gamma":
-            gamma += delta
-    return GeneratorParams(r, theta, phi), MeasurementParams(beta, gamma)
-
-
-def _ideal_fidelity(gen: GeneratorParams, sigma: DensityMatrix) -> float:
-    return fidelity(sigma, DensityMatrix.from_bloch(state_bloch(gen)))
+def _apply_update(p: tuple, active: tuple[int, ...], deltas: list[float],
+                  config: GameConfig) -> tuple:
+    q = list(p)
+    for i, delta in zip(active, deltas):
+        if i == 0:
+            q[0] = min(max(q[0] + config.r_rate_scale * delta, 0.0), 1.0)
+        else:
+            q[i] += delta
+    return tuple(q)
 
 
 def run_turn(
@@ -287,31 +267,29 @@ def run_turn(
             raise ValueError("the generator turn requires the entering estimate")
         if entering.d_hat < config.g_threshold(round_index):
             return gen, meas, records, c, entering
-    active = _G_PARAMS if turn == G_TURN else _D_PARAMS
+    active = _G_ACTIVE if turn == G_TURN else _D_ACTIVE
+    p = (*gen, *meas)
     d_seen: list[float] = []
-    best: tuple[float, MeasurementParams, OutcomeEstimate] | None = None
+    best: tuple[float, tuple, OutcomeEstimate] | None = None
     while c - c_start < config.per_turn_cap:
-        grads = [
-            finite_diff_gradient(name, gen, meas, sigma, config, rng)
-            for name in active
-        ]
-        gen, meas = _apply_update(gen, meas, active, _step_deltas(turn, grads, config), config)
+        grads = [_partial(i, p, sigma, config, rng) for i in active]
+        p = _apply_update(p, active, _step_deltas(turn, grads, config), config)
         c += len(active) if config.count_per_partial else 1
-        est = _measure(gen, meas, sigma, config, rng)
+        est = _measure(p, sigma, config, rng)
         records.append(
             StepRecord(
                 step_index=c,
                 round_index=round_index,
                 turn=turn,
-                params_after=(gen.r, gen.theta, gen.phi, meas.beta, meas.gamma),
+                params_after=p,
                 estimate=est,
-                fidelity_ideal=_ideal_fidelity(gen, sigma),
+                fidelity_ideal=generated_fidelity(sigma, p[0], p[1], p[2]),
             )
         )
         d_seen.append(est.d_hat)
         if turn == D_TURN:
             if best is None or est.d_hat > best[0]:
-                best = (est.d_hat, meas, est)
+                best = (est.d_hat, p[3:], est)
             if len(d_seen) >= config.stall_window:
                 window = d_seen[-config.stall_window:]
                 if max(window) - min(window) < config.stall_tol:
@@ -323,9 +301,8 @@ def run_turn(
         # The maximizing player keeps the best strategy it measured, not
         # wherever the stall left it; the re-measurement at that axis is
         # reused, so the shot accounting is unchanged.
-        return gen, best[1], records, c, best[2]
-    out_estimate = records[-1].estimate if records else entering
-    return gen, meas, records, c, out_estimate
+        return gen, MeasurementParams(*best[1]), records, c, best[2]
+    return GeneratorParams(*p[:3]), meas, records, c, records[-1].estimate
 
 
 def run_game(
@@ -380,7 +357,7 @@ def run_game(
         steps=steps,
         termination=termination,
         c_step_total=c,
-        final_fidelity=_ideal_fidelity(gen, sigma),
+        final_fidelity=fidelity(sigma, DensityMatrix.from_bloch(state_bloch(gen))),
     )
 
 
@@ -403,6 +380,6 @@ def shots_consumed(trace: GameTrace) -> int:
     n = trace.config.shots
     total = 0
     for rec in trace.steps:
-        varied = len(_G_PARAMS) if rec.turn == G_TURN else len(_D_PARAMS)
+        varied = len(_G_ACTIVE) if rec.turn == G_TURN else len(_D_ACTIVE)
         total += (2 * varied + 1) * 2 * n
     return total

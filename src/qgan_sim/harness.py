@@ -11,6 +11,7 @@ digits.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -137,7 +138,13 @@ def _coerce(field_name: str, value, kind):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(field_name, f"expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the double range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(field_name, f"expected a finite number, got {value!r}")
+        return number
     if kind is str:
         if not isinstance(value, str):
             raise ConfigError(field_name, f"expected a string, got {value!r}")
@@ -269,16 +276,18 @@ def run_batch(spec: ExperimentSpec, count: int, jobs: int = 1) -> list[GameTrace
     """Play ``count`` games at seeds seed, seed+1, ..., seed+count-1.
 
     Results are ordered by game index whatever the execution order, so
-    parallel runs reproduce serial ones exactly.
+    parallel runs reproduce serial ones exactly.  At most
+    ``min(jobs, count, cpu count)`` worker processes are started.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = [_indexed_spec(spec, k) for k in range(count)]
-    if jobs == 1 or count == 1:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers == 1:
         return [run_experiment(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_experiment, specs))
 
 
@@ -457,7 +466,7 @@ def summary_from_doc(doc: dict) -> BatchSummary:
 
 def write_json(doc: dict, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

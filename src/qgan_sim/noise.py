@@ -12,7 +12,7 @@ from math import sqrt
 
 from .bloch import BlochVector
 
-__all__ = ["NoiseSettings", "depolarize", "amplitude_damp", "apply_noise"]
+__all__ = ["NoiseSettings", "depolarize", "amplitude_damp", "apply_noise", "channel_xyz"]
 
 _ROLES = ("generated", "true")
 
@@ -59,8 +59,12 @@ def depolarize(v: BlochVector, eps: float) -> BlochVector:
     """Contract the Bloch vector toward the origin: v -> (1 - eps) v."""
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must be in [0, 1], got {eps}")
+    return BlochVector(*_depolarize(v.x, v.y, v.z, eps))
+
+
+def _depolarize(x: float, y: float, z: float, eps: float) -> tuple[float, float, float]:
     k = 1.0 - eps
-    return BlochVector(k * v.x, k * v.y, k * v.z)
+    return k * x, k * y, k * z
 
 
 def amplitude_damp(v: BlochVector, gamma_ad: float) -> BlochVector:
@@ -71,8 +75,24 @@ def amplitude_damp(v: BlochVector, gamma_ad: float) -> BlochVector:
     """
     if not (0.0 <= gamma_ad <= 1.0):
         raise ValueError(f"gamma_ad must be in [0, 1], got {gamma_ad}")
-    k = sqrt(1.0 - gamma_ad)
-    return BlochVector(k * v.x, k * v.y, (1.0 - gamma_ad) * v.z + gamma_ad)
+    return BlochVector(*_amplitude_damp(v.x, v.y, v.z, gamma_ad))
+
+
+def _amplitude_damp(x: float, y: float, z: float, g: float) -> tuple[float, float, float]:
+    k = sqrt(1.0 - g)
+    return k * x, k * y, (1.0 - g) * z + g
+
+
+def channel_xyz(settings: NoiseSettings, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The full channel (depolarize, then amplitude-damp) on plain floats.
+
+    Shared by ``apply_noise`` and the estimator's float path, so both apply
+    the same operations in the same order; the caller decides whether the
+    channel applies at all (role, identity settings).
+    """
+    return _amplitude_damp(
+        *_depolarize(x, y, z, settings.depolarizing_eps), settings.amplitude_damping_gamma
+    )
 
 
 def apply_noise(settings: NoiseSettings | None, v: BlochVector, role: str) -> BlochVector:
@@ -87,6 +107,4 @@ def apply_noise(settings: NoiseSettings | None, v: BlochVector, role: str) -> Bl
         return v
     if settings.apply_to == "generated-only" and role != "generated":
         return v
-    return amplitude_damp(
-        depolarize(v, settings.depolarizing_eps), settings.amplitude_damping_gamma
-    )
+    return BlochVector(*channel_xyz(settings, v.x, v.y, v.z))

@@ -13,16 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
+from .bloch import (  # noqa: F401  (bench/run.py traces the object forms here)
+    _BALL_TOL,
+    _UNIT_TOL,
     DensityMatrix,
     GeneratorParams,
     MeasurementParams,
+    axis_xyz,
     measurement_axis,
     outcome_probability,
     pure_axis,
     state_bloch,
+    state_xyz,
 )
-from .noise import NoiseSettings, apply_noise
+from .noise import NoiseSettings, apply_noise, channel_xyz
 
 __all__ = ["OutcomeEstimate", "sample_frequency", "estimate_d", "d_standard_deviation"]
 
@@ -72,21 +76,32 @@ def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
     return math.sqrt((p_rho * (1.0 - p_rho) + p_sigma * (1.0 - p_sigma)) / n)
 
 
-def _branchwise_frequency(
-    gen: GeneratorParams,
-    p_branch_main: float,
-    p_branch_alt: float,
-    n: int,
-    rng: np.random.Generator,
-) -> float:
-    # Physically faithful two-stage draw: pick the prepared branch per shot,
-    # then the detection outcome.  Marginally identical to Binomial(n, p_rho).
-    k_main = int(rng.binomial(n, gen.r))
-    hits = int(rng.binomial(k_main, p_branch_main)) if k_main > 0 else 0
-    rest = n - k_main
-    if rest > 0:
-        hits += int(rng.binomial(rest, p_branch_alt))
-    return float(hits) / n
+def _true_vector(sigma: DensityMatrix, noise: NoiseSettings | None) -> tuple[float, float, float]:
+    # The true state never changes within a game, so its Bloch vector after
+    # the channel is derived once per state object and kept on it.
+    memo = sigma._measured
+    if memo is None or memo[0] is not noise:
+        v = apply_noise(noise, sigma.to_bloch(), "true")
+        memo = sigma._measured = (noise, (v.x, v.y, v.z))
+    return memo[1]
+
+
+def _measured_xyz(
+    noise: NoiseSettings | None, x: float, y: float, z: float
+) -> tuple[float, float, float]:
+    # The generated state's vector after the channel, held to the unit ball
+    # (the comparison is written so that NaN fails too).
+    if noise is not None and not noise.is_identity:
+        x, y, z = channel_xyz(noise, x, y, z)
+    if not x * x + y * y + z * z <= 1.0 + _BALL_TOL:
+        raise ValueError(f"Bloch vector outside the unit ball: ({x!r}, {y!r}, {z!r})")
+    return x, y, z
+
+
+def _probability(mx: float, my: float, mz: float, x: float, y: float, z: float) -> float:
+    # (1 + m . v) / 2, clamped so tolerance slack still gives a probability.
+    p = 0.5 * (1.0 + (mx * x + my * y + mz * z))
+    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
 def estimate_d(
@@ -108,29 +123,48 @@ def estimate_d(
     ``branchwise=True`` samples the generated state by first drawing which
     ensemble branch was prepared on every shot; the marginal statistics are
     unchanged but the draw sequence mimics the physical procedure.
+
+    ``gen`` and ``meas`` may be the parameter objects or any sequences
+    unpacking to ``(r, theta, phi)`` and ``(beta, gamma)``.  The arithmetic
+    runs on plain floats and repeats ``state_bloch``, ``measurement_axis``,
+    ``apply_noise`` and ``outcome_probability`` operation for operation, so
+    every probability and every draw equals the object route bit for bit.
     """
-    m = measurement_axis(meas)
-    v_rho = apply_noise(noise, state_bloch(gen), "generated")
-    v_sigma = apply_noise(noise, sigma.to_bloch(), "true")
-    p_rho = outcome_probability(m, v_rho)
-    p_sigma = outcome_probability(m, v_sigma)
+    r, theta, phi = gen
+    beta, gamma = meas
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must be in [0, 1], got {r}")
+    if not (
+        math.isfinite(theta) and math.isfinite(phi)
+        and math.isfinite(beta) and math.isfinite(gamma)
+    ):
+        raise ValueError("theta, phi, beta and gamma must be finite")
+    mx, my, mz = axis_xyz(beta, gamma)
+    if abs(math.sqrt(mx * mx + my * my + mz * mz) - 1.0) > _UNIT_TOL:
+        raise ValueError("measurement axis must be a unit vector")
+    p_rho = _probability(mx, my, mz, *_measured_xyz(noise, *state_xyz(r, theta, phi)))
+    p_sigma = _probability(mx, my, mz, *_true_vector(sigma, noise))
     if shots is None:
         return OutcomeEstimate(p_rho, p_sigma, p_rho - p_sigma, None)
     if rng is None:
         raise ValueError("shot-limited estimation requires a random generator")
+    if shots < 1:
+        raise ValueError(f"shot count must be >= 1, got {shots}")
     if branchwise:
-        branch = apply_noise(noise, pure_axis(gen.theta, gen.phi), "generated")
-        anti = apply_noise(
-            noise, pure_axis(math.pi - gen.theta, gen.phi + math.pi), "generated"
+        # Physically faithful two-stage draw: pick the prepared branch per
+        # shot, then the detection outcome.  Marginally identical to
+        # Binomial(n, p_rho).
+        p_main = _probability(mx, my, mz, *_measured_xyz(noise, *axis_xyz(theta, phi)))
+        p_alt = _probability(
+            mx, my, mz, *_measured_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi))
         )
-        p_rho_hat = _branchwise_frequency(
-            gen,
-            outcome_probability(m, branch),
-            outcome_probability(m, anti),
-            shots,
-            rng,
-        )
+        k_main = rng.binomial(shots, r)
+        hits = rng.binomial(k_main, p_main) if k_main > 0 else 0
+        rest = shots - k_main
+        if rest > 0:
+            hits += rng.binomial(rest, p_alt)
+        p_rho_hat = float(hits) / shots
     else:
-        p_rho_hat = sample_frequency(p_rho, shots, rng)
-    p_sigma_hat = sample_frequency(p_sigma, shots, rng)
+        p_rho_hat = float(rng.binomial(shots, p_rho)) / shots
+    p_sigma_hat = float(rng.binomial(shots, p_sigma)) / shots
     return OutcomeEstimate(p_rho_hat, p_sigma_hat, p_rho_hat - p_sigma_hat, shots)

@@ -1,11 +1,13 @@
 """Config ingestion, serialization round-trips, batch statistics, CSVs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qgan_sim import ConfigError, GameConfig, run_experiment
+import qgan_sim.harness as harness_mod
+from qgan_sim import ConfigError, GameConfig, NoiseSettings, run_experiment
 from qgan_sim.bloch import DensityMatrix
 from qgan_sim.harness import (
     CDF_HEADER,
@@ -22,6 +24,7 @@ from qgan_sim.harness import (
     trace_from_doc,
     trace_to_doc,
     write_cdf_csv,
+    write_json,
     write_snapshots_csv,
     write_tracking_csv,
     write_trajectory_csv,
@@ -95,6 +98,67 @@ class TestLoadExperiment:
             load_experiment({"exact_mode": "yes"})
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+GAME_FLOAT_FIELDS = (
+    "fd_delta_angle", "fd_delta_r", "learning_rate", "r_rate_scale", "d_bound",
+    "stall_tol", "g_threshold_base", "g_threshold_slope", "g_threshold_floor",
+)
+NOISE_FLOAT_FIELDS = ("depolarizing_eps", "amplitude_damping_gamma")
+
+
+class TestNonFiniteNumbers:
+    """NaN and +-Infinity fail at the boundary, naming the field."""
+
+    @pytest.mark.parametrize("name", GAME_FLOAT_FIELDS)
+    def test_game_field_rejected_in_config(self, name):
+        for value in NON_FINITE:
+            with pytest.raises(ConfigError) as info:
+                load_experiment({name: value})
+            assert info.value.field_name == name
+
+    @pytest.mark.parametrize("name", GAME_FLOAT_FIELDS)
+    def test_game_field_rejected_by_constructor(self, name):
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match=name):
+                GameConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", NOISE_FLOAT_FIELDS)
+    def test_noise_field_rejected_in_config(self, name):
+        for value in NON_FINITE:
+            with pytest.raises(ConfigError) as info:
+                load_experiment({"noise": {name: value}})
+            assert info.value.field_name == f"noise.{name}"
+
+    @pytest.mark.parametrize("name", NOISE_FLOAT_FIELDS)
+    def test_noise_field_rejected_by_constructor(self, name):
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match=name):
+                NoiseSettings(**{name: value})
+
+    def test_json_literals_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"learning_rate": NaN, "stall_tol": 0.02}')
+        with pytest.raises(ConfigError, match="learning_rate"):
+            harness_mod.load_experiment_file(path)
+
+    def test_initial_and_sigma_fields_named(self):
+        initial = {"r": 0.5, "theta": 1.0, "phi": 0.0, "beta": math.nan, "gamma": 0.0}
+        with pytest.raises(ConfigError) as info:
+            load_experiment({"initial": initial})
+        assert info.value.field_name == "initial.beta"
+        with pytest.raises(ConfigError) as info:
+            load_experiment({"sigma": {"mode": "fixed", "bloch": [0.0, math.inf, 0.0]}})
+        assert info.value.field_name == "sigma.bloch[1]"
+
+    def test_integer_beyond_double_range_named(self):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            load_experiment({"learning_rate": 10**400})
+
+    def test_write_json_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json({"value": math.nan}, tmp_path / "out.json")
+
+
 class TestSeedResolution:
     def test_flag_wins(self):
         assert resolve_seed(5, 7, {"QGAN_SIM_SEED": "9"}) == 5
@@ -158,6 +222,34 @@ class TestBatch:
         serial = run_batch(spec, 6, jobs=1)
         parallel = run_batch(spec, 6, jobs=3)
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, expected",
+        [(64, 3, 2, 2), (2, 5, 8, 2), (8, 3, 16, 3), (4, 5, 1, None), (4, 5, None, None)],
+    )
+    def test_worker_count_bounded(self, monkeypatch, jobs, count, cpus, expected):
+        # The recorder stands in for the pool and plays the games in-process,
+        # so no worker process is ever started.
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: cpus)
+        traces = run_batch(fast_spec(seed=100), count, jobs=jobs)
+        assert made == ([] if expected is None else [expected])
+        assert traces == run_batch(fast_spec(seed=100), count)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,60 @@ class TestEstimateD:
                 DensityMatrix.pure_ground(), 100,
             )
 
+    def test_flat_inputs_validated_inline(self):
+        # The game loop passes plain tuples, which no constructor checks, so
+        # the estimator itself rejects what GeneratorParams and
+        # MeasurementParams would.
+        sigma = DensityMatrix.pure_ground()
+        rng = np.random.default_rng(0)
+        for r in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="r must be in"):
+                estimate_d((r, 0.0, 0.0), (0.0, 0.0), sigma, None)
+        for gen, meas in (
+            ((0.5, math.nan, 0.0), (0.0, 0.0)),
+            ((0.5, 0.0, math.inf), (0.0, 0.0)),
+            ((0.5, 0.0, 0.0), (-math.inf, 0.0)),
+            ((0.5, 0.0, 0.0), (0.0, math.nan)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                estimate_d(gen, meas, sigma, None)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="shot count"):
+                estimate_d((0.5, 0.0, 0.0), (0.0, 0.0), sigma, n, rng=rng)
+
+    def test_ball_check_fails_on_nan_and_overshoot(self):
+        from qgan_sim.sampling import _measured_xyz
+
+        assert _measured_xyz(None, 0.0, 0.6, 0.8) == (0.0, 0.6, 0.8)
+        for v in ((math.nan, 0.0, 0.0), (0.0, 1.0 + 1e-9, 0.0)):
+            with pytest.raises(ValueError, match="unit ball"):
+                _measured_xyz(None, *v)
+
+    def test_tuple_and_object_inputs_agree(self):
+        gen = GeneratorParams(0.37, 1.2, 0.4)
+        meas = MeasurementParams(0.9, 2.2)
+        sigma = DensityMatrix.from_bloch(BlochVector(0.1, -0.4, 0.2))
+        a = estimate_d(gen, meas, sigma, 500, rng=np.random.default_rng(3))
+        b = estimate_d((0.37, 1.2, 0.4), (0.9, 2.2), sigma, 500, rng=np.random.default_rng(3))
+        assert a == b
+
+    def test_reused_true_state_follows_the_channel(self):
+        # The true state's post-channel vector is memoized on the state
+        # object; reusing that object under another channel must not reuse it.
+        from qgan_sim import NoiseSettings
+
+        gen = GeneratorParams(0.37, 1.2, 0.4)
+        meas = MeasurementParams(0.9, 2.2)
+        sigma = DensityMatrix.from_bloch(BlochVector(0.1, -0.4, 0.2))
+        for noise in (
+            None, NoiseSettings(0.3, 0.1), NoiseSettings(0.3, 0.1, apply_to="generated-only"),
+            NoiseSettings(0.05, 0.2), None,
+        ):
+            fresh = DensityMatrix.from_bloch(BlochVector(0.1, -0.4, 0.2))
+            assert estimate_d(gen, meas, sigma, None, noise) == estimate_d(
+                gen, meas, fresh, None, noise
+            )
+
     def test_branchwise_marginal_statistics(self):
         # Branch-then-outcome sampling must stay Binomial(n, p_rho) overall.
         gen = GeneratorParams(0.37, 1.2, 0.4)
