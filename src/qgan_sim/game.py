@@ -42,6 +42,7 @@ __all__ = [
     "GameConfig",
     "StepRecord",
     "GameTrace",
+    "PARAM_NAMES",
     "finite_diff_gradient",
     "run_turn",
     "run_game",
@@ -58,9 +59,9 @@ G_TURN = "G"
 TERMINATION_EQUILIBRIUM = "equilibrium"
 TERMINATION_BUDGET = "budget-exhausted"
 
-# The game loop carries both strategies as one flat tuple
-# (r, theta, phi, beta, gamma); each player varies its own slice of it.
-_PARAM_INDEX = {"r": 0, "theta": 1, "phi": 2, "beta": 3, "gamma": 4}
+# The game loop carries both strategies as one flat tuple in this order;
+# each player varies its own slice of it.
+PARAM_NAMES = ("r", "theta", "phi", "beta", "gamma")
 _G_ACTIVE = (0, 1, 2)
 _D_ACTIVE = (3, 4)
 
@@ -100,8 +101,8 @@ class GameConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if not (1 <= self.shots <= 2**63 - 1):  # numpy's binomial takes int64 counts
+            raise ValueError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
         if not (0.0 < self.fd_delta_angle):
             raise ValueError(f"fd_delta_angle must be positive, got {self.fd_delta_angle}")
         if not (0.0 < self.fd_delta_r <= 0.5):
@@ -201,9 +202,9 @@ def finite_diff_gradient(
     For r at the upper boundary (r + delta > 1) the offset flips backward:
     (d(r) - d(r - delta)) / delta.
     """
-    if param not in _PARAM_INDEX:
+    if param not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {param!r}")
-    return _partial(_PARAM_INDEX[param], (*gen, *meas), sigma, config, rng)
+    return _partial(PARAM_NAMES.index(param), (*gen, *meas), sigma, config, rng)
 
 
 def _step_deltas(turn: str, grads: list[float], config: GameConfig) -> list[float]:

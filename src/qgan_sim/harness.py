@@ -14,12 +14,15 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .bloch import (
+    _BALL_TOL,
     DensityMatrix,
     GeneratorParams,
     MeasurementParams,
@@ -29,6 +32,7 @@ from .bloch import (
     state_bloch,
 )
 from .game import (
+    PARAM_NAMES,
     GameConfig,
     GameTrace,
     StepRecord,
@@ -103,27 +107,12 @@ class ExperimentSpec:
     initial: tuple[GeneratorParams, MeasurementParams] | None = None
 
 
-_GAME_FIELDS = {
-    "shots": int,
-    "fd_delta_angle": float,
-    "fd_delta_r": float,
-    "learning_rate": float,
-    "r_rate_scale": float,
-    "c_limit": int,
-    "d_bound": float,
-    "stall_window": int,
-    "stall_tol": float,
-    "g_threshold_base": float,
-    "g_threshold_slope": float,
-    "g_threshold_floor": float,
-    "per_turn_cap": int,
-    "exact_mode": bool,
-    "count_per_partial": bool,
-    "branchwise": bool,
-    "seed": int,
+# Config field name -> scalar kind, read off the dataclasses' annotations;
+# the nested noise block is parsed on its own.
+_GAME_KINDS = {
+    name: kind for name, kind in get_type_hints(GameConfig).items() if kind is not NoiseSettings
 }
-_NOISE_FIELDS = {"depolarizing_eps": float, "amplitude_damping_gamma": float, "apply_to": str}
-_INITIAL_FIELDS = ("r", "theta", "phi", "beta", "gamma")
+_NOISE_KINDS = get_type_hints(NoiseSettings)
 
 
 def _coerce(field_name: str, value, kind):
@@ -167,7 +156,7 @@ def _parse_sigma(doc) -> SigmaSpec:
         if not isinstance(raw, (list, tuple)) or len(raw) != 3:
             raise ConfigError("sigma.bloch", "fixed mode needs a 3-component Bloch vector")
         bloch = tuple(_coerce(f"sigma.bloch[{i}]", c, float) for i, c in enumerate(raw))
-        if sum(c * c for c in bloch) > 1.0 + 1e-12:
+        if sum(c * c for c in bloch) > 1.0 + _BALL_TOL:
             raise ConfigError("sigma.bloch", f"vector lies outside the unit ball: {list(bloch)}")
     elif "bloch" in doc:
         raise ConfigError("sigma.bloch", f"only valid with mode 'fixed', not {mode!r}")
@@ -177,29 +166,28 @@ def _parse_sigma(doc) -> SigmaSpec:
 def _parse_initial(doc) -> tuple[GeneratorParams, MeasurementParams]:
     if not isinstance(doc, dict):
         raise ConfigError("initial", f"expected an object, got {doc!r}")
-    unknown = set(doc) - set(_INITIAL_FIELDS)
+    unknown = set(doc) - set(PARAM_NAMES)
     if unknown:
         raise ConfigError(f"initial.{sorted(unknown)[0]}", "unknown field")
-    missing = [name for name in _INITIAL_FIELDS if name not in doc]
+    missing = [name for name in PARAM_NAMES if name not in doc]
     if missing:
         raise ConfigError(f"initial.{missing[0]}", "required when initial is given")
-    values = {name: _coerce(f"initial.{name}", doc[name], float) for name in _INITIAL_FIELDS}
+    r, theta, phi, beta, gamma = (_coerce(f"initial.{n}", doc[n], float) for n in PARAM_NAMES)
     try:
-        gen = GeneratorParams(values["r"], values["theta"], values["phi"])
+        gen = GeneratorParams(r, theta, phi)
     except ValueError as exc:
         raise ConfigError("initial.r", str(exc)) from exc
-    meas = MeasurementParams(values["beta"], values["gamma"])
-    return gen, meas
+    return gen, MeasurementParams(beta, gamma)
 
 
 def _parse_noise(doc) -> NoiseSettings:
     if not isinstance(doc, dict):
         raise ConfigError("noise", f"expected an object, got {doc!r}")
-    unknown = set(doc) - set(_NOISE_FIELDS)
+    unknown = set(doc) - set(_NOISE_KINDS)
     if unknown:
         raise ConfigError(f"noise.{sorted(unknown)[0]}", "unknown field")
     kwargs = {}
-    for name, kind in _NOISE_FIELDS.items():
+    for name, kind in _NOISE_KINDS.items():
         if name in doc:
             kwargs[name] = _coerce(f"noise.{name}", doc[name], kind)
     try:
@@ -232,12 +220,12 @@ def load_experiment(doc: dict, seed_override: int | None = None, env=os.environ)
     """
     if not isinstance(doc, dict):
         raise ConfigError("config", f"expected a JSON object, got {doc!r}")
-    known = set(_GAME_FIELDS) | {"sigma", "initial", "noise"}
+    known = set(_GAME_KINDS) | {"sigma", "initial", "noise"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field")
     kwargs = {}
-    for name, kind in _GAME_FIELDS.items():
+    for name, kind in _GAME_KINDS.items():
         if name in doc and doc[name] is not None:
             kwargs[name] = _coerce(name, doc[name], kind)
     kwargs["seed"] = resolve_seed(seed_override, kwargs.get("seed"), env)
@@ -342,29 +330,14 @@ def _matrix_from_pairs(pairs) -> np.ndarray:
     )
 
 
-def game_config_to_doc(config: GameConfig) -> dict:
-    doc = asdict(config)
-    doc["noise"] = asdict(config.noise)
-    return doc
-
-
-def game_config_from_doc(doc: dict) -> GameConfig:
-    kwargs = dict(doc)
-    kwargs["noise"] = NoiseSettings(**kwargs["noise"])
-    return GameConfig(**kwargs)
-
-
 def spec_to_doc(spec: ExperimentSpec) -> dict:
-    doc = game_config_to_doc(spec.game)
+    doc = asdict(spec.game)
     doc["sigma"] = {"mode": spec.sigma.mode}
     if spec.sigma.bloch is not None:
         doc["sigma"]["bloch"] = list(spec.sigma.bloch)
     if spec.initial is not None:
         gen, meas = spec.initial
-        doc["initial"] = {
-            "r": gen.r, "theta": gen.theta, "phi": gen.phi,
-            "beta": meas.beta, "gamma": meas.gamma,
-        }
+        doc["initial"] = dict(zip(PARAM_NAMES, (*gen, *meas)))
     return doc
 
 
@@ -377,21 +350,12 @@ def _estimate_to_doc(est: OutcomeEstimate) -> dict:
     }
 
 
-def _estimate_from_doc(doc: dict) -> OutcomeEstimate:
-    return OutcomeEstimate(
-        p_rho_hat=doc["p_rho_hat"],
-        p_sigma_hat=doc["p_sigma_hat"],
-        d_hat=doc["d_hat"],
-        shots=doc["shots"],
-    )
-
-
 def trace_to_doc(trace: GameTrace) -> dict:
     """Full-precision JSON document for one game; reparses to an equal trace."""
     sigma_bloch = trace.sigma.to_bloch()
     return {
         "schema": RESULT_SCHEMA,
-        "config": game_config_to_doc(trace.config),
+        "config": asdict(trace.config),
         "sigma": {
             "matrix": _complex_pairs(trace.sigma.matrix),
             "bloch": [sigma_bloch.x, sigma_bloch.y, sigma_bloch.z],
@@ -413,28 +377,43 @@ def trace_to_doc(trace: GameTrace) -> dict:
     }
 
 
+@contextmanager
+def _reading(kind: str, schema: str, doc):
+    """Check ``doc`` is a ``schema`` document; inside the block, a missing key
+    or a wrongly shaped value raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} document is not a JSON object")
+    if doc.get("schema") != schema:
+        raise ValueError(f"unexpected {kind} schema {doc.get('schema')!r}")
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{kind} document has no {exc.args[0]!r} key") from exc
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
+
+
 def trace_from_doc(doc: dict) -> GameTrace:
-    if doc.get("schema") != RESULT_SCHEMA:
-        raise ValueError(f"unexpected result schema {doc.get('schema')!r}")
-    steps = [
-        StepRecord(
-            step_index=rec["step_index"],
-            round_index=rec["round_index"],
-            turn=rec["turn"],
-            params_after=tuple(rec["params_after"]),
-            estimate=_estimate_from_doc(rec["estimate"]),
-            fidelity_ideal=rec["fidelity_ideal"],
+    with _reading("result", RESULT_SCHEMA, doc):
+        steps = [
+            StepRecord(
+                step_index=rec["step_index"],
+                round_index=rec["round_index"],
+                turn=rec["turn"],
+                params_after=tuple(rec["params_after"]),
+                estimate=OutcomeEstimate(**rec["estimate"]),
+                fidelity_ideal=rec["fidelity_ideal"],
+            )
+            for rec in doc["steps"]
+        ]
+        return GameTrace(
+            config=load_experiment(doc["config"], env={}).game,
+            sigma=DensityMatrix(_matrix_from_pairs(doc["sigma"]["matrix"])),
+            steps=steps,
+            termination=doc["termination"],
+            c_step_total=doc["c_step_total"],
+            final_fidelity=doc["final_fidelity"],
         )
-        for rec in doc["steps"]
-    ]
-    return GameTrace(
-        config=game_config_from_doc(doc["config"]),
-        sigma=DensityMatrix(_matrix_from_pairs(doc["sigma"]["matrix"])),
-        steps=steps,
-        termination=doc["termination"],
-        c_step_total=doc["c_step_total"],
-        final_fidelity=doc["final_fidelity"],
-    )
 
 
 def summary_to_doc(summary: BatchSummary) -> dict:
@@ -451,23 +430,35 @@ def summary_to_doc(summary: BatchSummary) -> dict:
 
 
 def summary_from_doc(doc: dict) -> BatchSummary:
-    if doc.get("schema") != SUMMARY_SCHEMA:
-        raise ValueError(f"unexpected summary schema {doc.get('schema')!r}")
-    return BatchSummary(
-        games=doc["games"],
-        mean_c_step=doc["mean_c_step"],
-        mean_fidelity=doc["mean_fidelity"],
-        cdf_c_step=[(v, p) for v, p in doc["cdf_c_step"]],
-        cdf_fidelity=[(v, p) for v, p in doc["cdf_fidelity"]],
-        termination_counts=dict(doc["termination_counts"]),
-        config_echo=doc["config_echo"],
-    )
+    with _reading("summary", SUMMARY_SCHEMA, doc):
+        return BatchSummary(
+            games=doc["games"],
+            mean_c_step=doc["mean_c_step"],
+            mean_fidelity=doc["mean_fidelity"],
+            cdf_c_step=[(v, p) for v, p in doc["cdf_c_step"]],
+            cdf_fidelity=[(v, p) for v, p in doc["cdf_fidelity"]],
+            termination_counts=dict(doc["termination_counts"]),
+            config_echo=doc["config_echo"],
+        )
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to a sibling temp file, then rename it onto ``path``,
+    so ``path`` holds either its old content or all of ``text``.  A symlink
+    is written through, as a plain open would."""
+    path = Path(path).resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(doc: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -479,10 +470,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str | Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_text(path, header + "\n" + "".join(",".join(row) + "\n" for row in rows))
 
 
 def write_trajectory_csv(trace: GameTrace, path: str | Path) -> None:

@@ -189,3 +189,39 @@ class TestPlotDataCommand:
     def test_cdf_on_result_document_exits_2(self, result_path, tmp_path):
         assert run_cli("plot-data", "--kind", "cdf", "--in", result_path,
                        "--out", tmp_path / "x.csv") == 2
+
+
+class TestRejectedInput:
+    """Bad input exits 2 with a message, never a traceback."""
+
+    def test_shot_count_beyond_int64_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"shots": 2**63, "c_limit": 10}))
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert "shots" in capsys.readouterr().err
+
+    def test_cdf_of_json_array_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2, 3]")
+        assert run_cli("plot-data", "--kind", "cdf", "--in", path,
+                       "--out", tmp_path / "x.csv") == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
+    def test_tracking_of_result_without_steps_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"schema": "qgan-sim/result/v1"}))
+        assert run_cli("plot-data", "--kind", "tracking", "--in", path,
+                       "--out", tmp_path / "x.csv") == 2
+        assert "'steps'" in capsys.readouterr().err
+
+    def test_unknown_config_key_in_result_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", config_path, "--out", out) == 0
+        doc = json.loads((out / "result.json").read_text())
+        doc["config"]["shotz"] = 5
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("plot-data", "--kind", "tracking", "--in", path,
+                       "--out", tmp_path / "x.csv") == 2
+        assert "shotz" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

@@ -367,3 +367,92 @@ class TestCsvEmission:
         write_tracking_csv(trace, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+
+class TestShotBound:
+    """numpy's binomial sampler takes counts up to 2**63 - 1."""
+
+    def test_largest_count_accepted(self):
+        assert load_experiment({"shots": 2**63 - 1}).game.shots == 2**63 - 1
+
+    def test_count_beyond_int64_named(self):
+        with pytest.raises(ConfigError, match="shots"):
+            load_experiment({"shots": 2**63})
+        with pytest.raises(ValueError, match="shots"):
+            GameConfig(shots=2**63)
+
+
+class TestAtomicWrites:
+    """A failed write leaves the target as it was and no temp file behind."""
+
+    def test_nan_document_keeps_old_content(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+        with pytest.raises(ValueError):
+            write_json({"values": [0.5] * 3000 + [math.nan]}, path)
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_failed_rename_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cdf.csv"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(harness_mod.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_cdf_csv([(1.0, 1.0)], path)
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cdf.csv"]
+
+    def test_symlink_written_through(self, tmp_path):
+        (tmp_path / "real.json").write_text("old\n")
+        (tmp_path / "link.json").symlink_to("real.json")
+        write_json({"a": 1}, tmp_path / "link.json")
+        assert (tmp_path / "link.json").is_symlink()
+        assert (tmp_path / "real.json").read_text() == '{\n  "a": 1\n}\n'
+
+    def test_overwrite_replaces_content(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("a much longer old content than the new document\n")
+        write_json({"a": 1}, path)
+        assert path.read_text() == '{\n  "a": 1\n}\n'
+
+
+class TestMalformedDocuments:
+    """Readers raise ValueError naming the missing key or the wrong shape."""
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            trace_from_doc([1, 2])
+        with pytest.raises(ValueError, match="not a JSON object"):
+            summary_from_doc([])
+
+    def test_missing_top_level_key_named(self):
+        with pytest.raises(ValueError, match="'steps'"):
+            trace_from_doc({"schema": harness_mod.RESULT_SCHEMA})
+        with pytest.raises(ValueError, match="'games'"):
+            summary_from_doc({"schema": harness_mod.SUMMARY_SCHEMA})
+
+    def test_missing_nested_key_named(self):
+        doc = json.loads(json.dumps(trace_to_doc(run_experiment(fast_spec(seed=4)))))
+        del doc["steps"][0]["turn"]
+        with pytest.raises(ValueError, match="'turn'"):
+            trace_from_doc(doc)
+
+    def test_wrongly_shaped_value(self):
+        doc = json.loads(json.dumps(trace_to_doc(run_experiment(fast_spec(seed=4)))))
+        doc["steps"][0]["estimate"] = [0.5, 0.5]
+        with pytest.raises(ValueError, match="malformed result"):
+            trace_from_doc(doc)
+
+    def test_config_block_validated_like_a_config_file(self):
+        doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
+        doc["config"]["shotz"] = 5
+        with pytest.raises(ConfigError, match="shotz"):
+            trace_from_doc(doc)
+        doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
+        doc["config"]["learning_rate"] = "fast"
+        with pytest.raises(ConfigError, match="learning_rate"):
+            trace_from_doc(doc)
