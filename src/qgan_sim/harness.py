@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -380,7 +381,7 @@ def trace_to_doc(trace: GameTrace) -> dict:
 @contextmanager
 def _reading(kind: str, schema: str, doc):
     """Check ``doc`` is a ``schema`` document; inside the block, a missing key
-    or a wrongly shaped value raises ValueError."""
+    raises ValueError naming it."""
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} document is not a JSON object")
     if doc.get("schema") != schema:
@@ -389,8 +390,6 @@ def _reading(kind: str, schema: str, doc):
         yield
     except KeyError as exc:
         raise ValueError(f"{kind} document has no {exc.args[0]!r} key") from exc
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"malformed {kind} document: {exc}") from exc
 
 
 def trace_from_doc(doc: dict) -> GameTrace:
@@ -401,7 +400,7 @@ def trace_from_doc(doc: dict) -> GameTrace:
                 round_index=rec["round_index"],
                 turn=rec["turn"],
                 params_after=tuple(rec["params_after"]),
-                estimate=OutcomeEstimate(**rec["estimate"]),
+                estimate=OutcomeEstimate(*(rec["estimate"][f.name] for f in fields(OutcomeEstimate))),
                 fidelity_ideal=rec["fidelity_ideal"],
             )
             for rec in doc["steps"]
@@ -443,17 +442,27 @@ def summary_from_doc(doc: dict) -> BatchSummary:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to a sibling temp file, then rename it onto ``path``,
-    so ``path`` holds either its old content or all of ``text``.  A symlink
-    is written through, as a plain open would."""
-    path = Path(path).resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    """Write ``text`` to ``path``.  A new or regular file is replaced whole:
+    the text goes to a sibling temp file, which takes the old file's mode and
+    is renamed onto ``path``, so ``path`` holds either its old content or all
+    of ``text``.  A symlink is written through, as a plain open would; a
+    FIFO or a device (/dev/stdout) cannot be replaced and is written to."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        tmp = path  # nothing can be renamed onto a FIFO or a device
+    else:
+        path = path.resolve()
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        if tmp != path:
+            if path.exists():
+                shutil.copymode(path, tmp)
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if tmp != path:
+            tmp.unlink(missing_ok=True)
         raise
 
 

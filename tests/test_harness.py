@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -419,6 +422,25 @@ class TestAtomicWrites:
         write_json({"a": 1}, path)
         assert path.read_text() == '{\n  "a": 1\n}\n'
 
+    def test_overwrite_keeps_mode(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        write_json({"a": 1}, path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_fifo_written_through(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_cdf_csv([(1.0, 0.5)], fifo)
+        reader.join(timeout=10)
+        assert received == ["value,cumulative_probability\n1,0.5\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
 
 class TestMalformedDocuments:
     """Readers raise ValueError naming the missing key or the wrong shape."""
@@ -441,10 +463,14 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match="'turn'"):
             trace_from_doc(doc)
 
-    def test_wrongly_shaped_value(self):
-        doc = json.loads(json.dumps(trace_to_doc(run_experiment(fast_spec(seed=4)))))
-        doc["steps"][0]["estimate"] = [0.5, 0.5]
-        with pytest.raises(ValueError, match="malformed result"):
+    def test_constructor_error_is_not_a_malformed_document(self, monkeypatch):
+        doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
+
+        def broken(matrix):
+            raise TypeError("broken constructor")
+
+        monkeypatch.setattr(harness_mod, "DensityMatrix", broken)
+        with pytest.raises(TypeError, match="broken constructor"):
             trace_from_doc(doc)
 
     def test_config_block_validated_like_a_config_file(self):
