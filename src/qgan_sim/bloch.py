@@ -13,10 +13,10 @@ probabilities and trace distance reduce to closed forms in v; fidelity is
 evaluated on the three independent matrix entries.  A ``DensityMatrix``
 keeps those entries as scalars and derives its Bloch vector once, at
 construction; the 2x2 ndarray is built only when ``.matrix`` is read (for
-serialization and the test oracles).  The float helpers below
-(``axis_xyz``, ``state_xyz``, ``generated_fidelity``) repeat the object
-API's arithmetic operation for operation, so the estimator's inner loop can
-skip the per-call object validation without changing a single bit.
+serialization and the test oracles).  Each object-API function validates
+its arguments and then calls a plain-float kernel (``axis_xyz``,
+``state_xyz``, ``_probability``, ``_fidelity``); the estimator's inner loop
+calls the same kernels directly.
 """
 
 from __future__ import annotations
@@ -207,9 +207,6 @@ class DensityMatrix:
     def to_bloch(self) -> BlochVector:
         return self._bloch
 
-    def det(self) -> float:
-        return _det(self._entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrix):
             return NotImplemented
@@ -270,9 +267,13 @@ def outcome_probability(m: BlochVector, v: BlochVector) -> float:
     """
     if abs(m.norm() - 1.0) > _UNIT_TOL:
         raise ValueError(f"measurement axis must be a unit vector, |m| = {m.norm()!r}")
-    p = 0.5 * (1.0 + m.dot(v))
-    # Guard the tolerance slack so callers always see a probability.
-    return min(max(p, 0.0), 1.0)
+    return _probability(m.x, m.y, m.z, v.x, v.y, v.z)
+
+
+def _probability(mx: float, my: float, mz: float, x: float, y: float, z: float) -> float:
+    # (1 + m . v) / 2, clamped so tolerance slack still gives a probability.
+    p = 0.5 * (1.0 + (mx * x + my * y + mz * z))
+    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
 def optimal_axis(v_rho: BlochVector, v_sigma: BlochVector) -> BlochVector:
@@ -363,10 +364,7 @@ def random_true_state(
     if mode == "fixed":
         if bloch is None:
             raise ValueError("fixed mode requires a Bloch vector")
-        x, y, z = (float(c) for c in bloch)
-        if x * x + y * y + z * z > 1.0 + _BALL_TOL:
-            raise ValueError(f"fixed Bloch vector outside the unit ball: {bloch}")
-        return DensityMatrix.from_bloch(BlochVector(x, y, z))
+        return DensityMatrix.from_bloch(BlochVector(*(float(c) for c in bloch)))
     if rng is None:
         raise ValueError(f"mode {mode!r} requires a random generator")
     if mode == "bloch-ball":

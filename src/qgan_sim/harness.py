@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from types import FunctionType
 from typing import get_type_hints
 
 import numpy as np
@@ -108,14 +109,6 @@ class ExperimentSpec:
     initial: tuple[GeneratorParams, MeasurementParams] | None = None
 
 
-# Config field name -> scalar kind, read off the dataclasses' annotations;
-# the nested noise block is parsed on its own.
-_GAME_KINDS = {
-    name: kind for name, kind in get_type_hints(GameConfig).items() if kind is not NoiseSettings
-}
-_NOISE_KINDS = get_type_hints(NoiseSettings)
-
-
 def _coerce(field_name: str, value, kind):
     if kind is bool:
         if not isinstance(value, bool):
@@ -139,62 +132,74 @@ def _coerce(field_name: str, value, kind):
         if not isinstance(value, str):
             raise ConfigError(field_name, f"expected a string, got {value!r}")
         return value
+    if isinstance(kind, FunctionType):  # the parser of a nested block
+        return kind(field_name, value)
     raise AssertionError(kind)
 
 
-def _parse_sigma(doc) -> SigmaSpec:
+def _fields(where: str, doc, kinds: dict) -> dict:
+    """Config block ``where`` ("" for the top level) as an object with no field
+    outside ``kinds``; each field present is coerced, and null means omitted."""
     if not isinstance(doc, dict):
-        raise ConfigError("sigma", f"expected an object, got {doc!r}")
-    unknown = set(doc) - {"mode", "bloch"}
+        what = "an object" if where else "a JSON object"
+        raise ConfigError(where or "config", f"expected {what}, got {doc!r}")
+    prefix = f"{where}." if where else ""
+    unknown = set(doc) - set(kinds)
     if unknown:
-        raise ConfigError(f"sigma.{sorted(unknown)[0]}", "unknown field")
-    mode = _coerce("sigma.mode", doc.get("mode", "pure-ground"), str)
+        raise ConfigError(prefix + sorted(unknown)[0], "unknown field")
+    return {
+        name: _coerce(prefix + name, doc[name], kind)
+        for name, kind in kinds.items() if doc.get(name) is not None
+    }
+
+
+def _parse_sigma(where: str, doc) -> SigmaSpec:
+    # bloch passes through as it is: what it must be depends on the mode.
+    block = _fields(where, doc, {"mode": str, "bloch": lambda where, raw: raw})
+    mode = block.get("mode", SigmaSpec.mode)
     if mode not in SIGMA_MODES:
-        raise ConfigError("sigma.mode", f"expected one of {SIGMA_MODES}, got {mode!r}")
-    bloch = None
-    if mode == "fixed":
-        raw = doc.get("bloch")
-        if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-            raise ConfigError("sigma.bloch", "fixed mode needs a 3-component Bloch vector")
-        bloch = tuple(_coerce(f"sigma.bloch[{i}]", c, float) for i, c in enumerate(raw))
-        if sum(c * c for c in bloch) > 1.0 + _BALL_TOL:
-            raise ConfigError("sigma.bloch", f"vector lies outside the unit ball: {list(bloch)}")
-    elif "bloch" in doc:
-        raise ConfigError("sigma.bloch", f"only valid with mode 'fixed', not {mode!r}")
-    return SigmaSpec(mode=mode, bloch=bloch)
+        raise ConfigError(f"{where}.mode", f"expected one of {SIGMA_MODES}, got {mode!r}")
+    raw = block.get("bloch")
+    if mode != "fixed":
+        if raw is not None:
+            raise ConfigError(f"{where}.bloch", f"only valid with mode 'fixed', not {mode!r}")
+        return SigmaSpec(mode)
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise ConfigError(f"{where}.bloch", "fixed mode needs a 3-component Bloch vector")
+    bloch = tuple(_coerce(f"{where}.bloch[{i}]", c, float) for i, c in enumerate(raw))
+    if sum(c * c for c in bloch) > 1.0 + _BALL_TOL:
+        raise ConfigError(f"{where}.bloch", f"vector lies outside the unit ball: {list(bloch)}")
+    return SigmaSpec(mode, bloch)
 
 
-def _parse_initial(doc) -> tuple[GeneratorParams, MeasurementParams]:
-    if not isinstance(doc, dict):
-        raise ConfigError("initial", f"expected an object, got {doc!r}")
-    unknown = set(doc) - set(PARAM_NAMES)
-    if unknown:
-        raise ConfigError(f"initial.{sorted(unknown)[0]}", "unknown field")
-    missing = [name for name in PARAM_NAMES if name not in doc]
+def _parse_initial(where: str, doc) -> tuple[GeneratorParams, MeasurementParams]:
+    block = _fields(where, doc, dict.fromkeys(PARAM_NAMES, float))
+    missing = [name for name in PARAM_NAMES if name not in block]
     if missing:
-        raise ConfigError(f"initial.{missing[0]}", "required when initial is given")
-    r, theta, phi, beta, gamma = (_coerce(f"initial.{n}", doc[n], float) for n in PARAM_NAMES)
-    try:
-        gen = GeneratorParams(r, theta, phi)
-    except ValueError as exc:
-        raise ConfigError("initial.r", str(exc)) from exc
-    return gen, MeasurementParams(beta, gamma)
+        raise ConfigError(f"{where}.{missing[0]}", "required when initial is given")
+    r, theta, phi, beta, gamma = block.values()
+    return _build(f"{where}.r", GeneratorParams, r, theta, phi), MeasurementParams(beta, gamma)
 
 
-def _parse_noise(doc) -> NoiseSettings:
-    if not isinstance(doc, dict):
-        raise ConfigError("noise", f"expected an object, got {doc!r}")
-    unknown = set(doc) - set(_NOISE_KINDS)
-    if unknown:
-        raise ConfigError(f"noise.{sorted(unknown)[0]}", "unknown field")
-    kwargs = {}
-    for name, kind in _NOISE_KINDS.items():
-        if name in doc:
-            kwargs[name] = _coerce(f"noise.{name}", doc[name], kind)
+def _parse_noise(where: str, doc) -> NoiseSettings:
+    return _build(where, NoiseSettings, **_fields(where, doc, get_type_hints(NoiseSettings)))
+
+
+def _build(where: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``; a ValueError from its checks names ``where``."""
     try:
-        return NoiseSettings(**kwargs)
+        return cls(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError("noise", str(exc)) from exc
+        raise ConfigError(where, str(exc)) from exc
+
+
+# Top-level kinds: GameConfig's annotated scalars, and a parser per nested block.
+_CONFIG_KINDS = {
+    **get_type_hints(GameConfig),
+    "noise": _parse_noise,
+    "sigma": _parse_sigma,
+    "initial": _parse_initial,
+}
 
 
 def resolve_seed(cli_seed: int | None, config_seed: int | None, env=os.environ) -> int:
@@ -219,26 +224,10 @@ def load_experiment(doc: dict, seed_override: int | None = None, env=os.environ)
     Raises ConfigError naming the offending field.  Unknown fields are
     rejected so typos fail loudly.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config", f"expected a JSON object, got {doc!r}")
-    known = set(_GAME_KINDS) | {"sigma", "initial", "noise"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown field")
-    kwargs = {}
-    for name, kind in _GAME_KINDS.items():
-        if name in doc and doc[name] is not None:
-            kwargs[name] = _coerce(name, doc[name], kind)
+    kwargs = _fields("", doc, _CONFIG_KINDS)
+    blocks = {name: kwargs.pop(name) for name in ("sigma", "initial") if name in kwargs}
     kwargs["seed"] = resolve_seed(seed_override, kwargs.get("seed"), env)
-    if "noise" in doc and doc["noise"] is not None:
-        kwargs["noise"] = _parse_noise(doc["noise"])
-    try:
-        game = GameConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from exc
-    sigma = _parse_sigma(doc["sigma"]) if doc.get("sigma") is not None else SigmaSpec()
-    initial = _parse_initial(doc["initial"]) if doc.get("initial") is not None else None
-    return ExperimentSpec(game=game, sigma=sigma, initial=initial)
+    return ExperimentSpec(game=_build("config", GameConfig, **kwargs), **blocks)
 
 
 def load_experiment_file(path: str | Path, seed_override: int | None = None) -> ExperimentSpec:

@@ -15,10 +15,10 @@ import numpy as np
 
 from .bloch import (  # noqa: F401  (bench/run.py traces the object forms here)
     _BALL_TOL,
-    _UNIT_TOL,
     DensityMatrix,
     GeneratorParams,
     MeasurementParams,
+    _probability,
     axis_xyz,
     measurement_axis,
     outcome_probability,
@@ -98,12 +98,6 @@ def _measured_xyz(
     return x, y, z
 
 
-def _probability(mx: float, my: float, mz: float, x: float, y: float, z: float) -> float:
-    # (1 + m . v) / 2, clamped so tolerance slack still gives a probability.
-    p = 0.5 * (1.0 + (mx * x + my * y + mz * z))
-    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
-
-
 def estimate_d(
     gen: GeneratorParams,
     meas: MeasurementParams,
@@ -125,10 +119,9 @@ def estimate_d(
     unchanged but the draw sequence mimics the physical procedure.
 
     ``gen`` and ``meas`` may be the parameter objects or any sequences
-    unpacking to ``(r, theta, phi)`` and ``(beta, gamma)``.  The arithmetic
-    runs on plain floats and repeats ``state_bloch``, ``measurement_axis``,
-    ``apply_noise`` and ``outcome_probability`` operation for operation, so
-    every probability and every draw equals the object route bit for bit.
+    unpacking to ``(r, theta, phi)`` and ``(beta, gamma)``; their values are
+    checked once per call, and the probabilities come from the same float
+    kernels the object API runs after its own checks.
     """
     r, theta, phi = gen
     beta, gamma = meas
@@ -140,8 +133,6 @@ def estimate_d(
     ):
         raise ValueError("theta, phi, beta and gamma must be finite")
     mx, my, mz = axis_xyz(beta, gamma)
-    if abs(math.sqrt(mx * mx + my * my + mz * mz) - 1.0) > _UNIT_TOL:
-        raise ValueError("measurement axis must be a unit vector")
     p_rho = _probability(mx, my, mz, *_measured_xyz(noise, *state_xyz(r, theta, phi)))
     p_sigma = _probability(mx, my, mz, *_true_vector(sigma, noise))
     if shots is None:

@@ -94,6 +94,22 @@ class TestLoadExperiment:
         with pytest.raises(ConfigError, match="noise"):
             load_experiment({"noise": {"depolarizing_eps": 3.0}})
 
+    def test_null_means_default_in_every_block(self):
+        assert load_experiment({"noise": {"apply_to": None}}).game.noise.apply_to == "both"
+        assert load_experiment({"sigma": {"mode": None}}).sigma == SigmaSpec()
+        assert load_experiment({"shots": None}).game.shots == GameConfig().shots
+        with pytest.raises(ConfigError) as info:
+            load_experiment({"sigma": {"mode": "fixed", "bloch": None}})
+        assert info.value.field_name == "sigma.bloch"
+        with pytest.raises(ConfigError) as info:
+            load_experiment({"initial": {"r": None, "theta": 0, "phi": 0, "beta": 0, "gamma": 0}})
+        assert info.value.field_name == "initial.r"
+
+    def test_bloch_outside_fixed_mode_named_before_its_shape(self):
+        with pytest.raises(ConfigError, match="only valid with mode 'fixed'") as info:
+            load_experiment({"sigma": {"mode": "bloch-ball", "bloch": [0.0, "a", 0.0]}})
+        assert info.value.field_name == "sigma.bloch"
+
     def test_type_errors_name_field(self):
         with pytest.raises(ConfigError, match="shots"):
             load_experiment({"shots": 10.5})
