@@ -138,8 +138,9 @@ def _coerce(field_name: str, value, kind):
 
 
 def _fields(where: str, doc, kinds: dict) -> dict:
-    """Config block ``where`` ("" for the top level) as an object with no field
-    outside ``kinds``; each field present is coerced, and null means omitted."""
+    """The fields of config block ``where`` ("" for the top level), coerced to
+    their ``kinds``: the block must be an object with no other field, and a
+    null field counts as omitted."""
     if not isinstance(doc, dict):
         what = "an object" if where else "a JSON object"
         raise ConfigError(where or "config", f"expected {what}, got {doc!r}")
@@ -177,7 +178,7 @@ def _parse_initial(where: str, doc) -> tuple[GeneratorParams, MeasurementParams]
     missing = [name for name in PARAM_NAMES if name not in block]
     if missing:
         raise ConfigError(f"{where}.{missing[0]}", "required when initial is given")
-    r, theta, phi, beta, gamma = block.values()
+    r, theta, phi, beta, gamma = (block[name] for name in PARAM_NAMES)
     return _build(f"{where}.r", GeneratorParams, r, theta, phi), MeasurementParams(beta, gamma)
 
 
@@ -314,12 +315,6 @@ def _complex_pairs(m: np.ndarray) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in m]
 
 
-def _matrix_from_pairs(pairs) -> np.ndarray:
-    return np.array(
-        [[complex(c[0], c[1]) for c in row] for row in pairs], dtype=complex
-    )
-
-
 def spec_to_doc(spec: ExperimentSpec) -> dict:
     doc = asdict(spec.game)
     doc["sigma"] = {"mode": spec.sigma.mode}
@@ -381,22 +376,46 @@ def _reading(kind: str, schema: str, doc):
         raise ValueError(f"{kind} document has no {exc.args[0]!r} key") from exc
 
 
+def _shaped(value, key: str, kind: type, length: int | None = None):
+    """``value``, read from ``key``; raises ValueError naming the key unless it
+    is a JSON array (``kind=list``, of ``length`` items if given) or object."""
+    if not isinstance(value, kind) or (length is not None and len(value) != length):
+        what = "an object" if kind is dict else "an array"
+        raise ValueError(f"{key!r} is not {what}" + (f" of {length} items" if length else ""))
+    return value
+
+
+def _pairs(value, key: str) -> list[tuple]:
+    items = _shaped(value, key, list)
+    return [tuple(_shaped(p, f"{key}[{i}]", list, 2)) for i, p in enumerate(items)]
+
+
+def _sigma_from_doc(block) -> DensityMatrix:
+    rows = _shaped(_shaped(block, "sigma", dict)["matrix"], "sigma.matrix", list)
+    pairs = [_pairs(row, f"sigma.matrix[{i}]") for i, row in enumerate(rows)]
+    return DensityMatrix(np.array([[complex(re, im) for re, im in row] for row in pairs]))
+
+
+def _step_from_doc(key: str, rec) -> StepRecord:
+    rec = _shaped(rec, key, dict)
+    estimate = _shaped(rec["estimate"], f"{key}.estimate", dict)
+    return StepRecord(
+        step_index=rec["step_index"],
+        round_index=rec["round_index"],
+        turn=rec["turn"],
+        params_after=tuple(_shaped(rec["params_after"], f"{key}.params_after", list)),
+        estimate=OutcomeEstimate(*(estimate[f.name] for f in fields(OutcomeEstimate))),
+        fidelity_ideal=rec["fidelity_ideal"],
+    )
+
+
 def trace_from_doc(doc: dict) -> GameTrace:
     with _reading("result", RESULT_SCHEMA, doc):
-        steps = [
-            StepRecord(
-                step_index=rec["step_index"],
-                round_index=rec["round_index"],
-                turn=rec["turn"],
-                params_after=tuple(rec["params_after"]),
-                estimate=OutcomeEstimate(*(rec["estimate"][f.name] for f in fields(OutcomeEstimate))),
-                fidelity_ideal=rec["fidelity_ideal"],
-            )
-            for rec in doc["steps"]
-        ]
+        records = _shaped(doc["steps"], "steps", list)
+        steps = [_step_from_doc(f"steps[{i}]", rec) for i, rec in enumerate(records)]
         return GameTrace(
             config=load_experiment(doc["config"], env={}).game,
-            sigma=DensityMatrix(_matrix_from_pairs(doc["sigma"]["matrix"])),
+            sigma=_sigma_from_doc(doc["sigma"]),
             steps=steps,
             termination=doc["termination"],
             c_step_total=doc["c_step_total"],
@@ -423,9 +442,11 @@ def summary_from_doc(doc: dict) -> BatchSummary:
             games=doc["games"],
             mean_c_step=doc["mean_c_step"],
             mean_fidelity=doc["mean_fidelity"],
-            cdf_c_step=[(v, p) for v, p in doc["cdf_c_step"]],
-            cdf_fidelity=[(v, p) for v, p in doc["cdf_fidelity"]],
-            termination_counts=dict(doc["termination_counts"]),
+            cdf_c_step=_pairs(doc["cdf_c_step"], "cdf_c_step"),
+            cdf_fidelity=_pairs(doc["cdf_fidelity"], "cdf_fidelity"),
+            termination_counts=dict(
+                _shaped(doc["termination_counts"], "termination_counts", dict)
+            ),
             config_echo=doc["config_echo"],
         )
 

@@ -225,3 +225,33 @@ class TestRejectedInput:
                        "--out", tmp_path / "x.csv") == 2
         assert "shotz" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, path, value, key",
+        [
+            ("tracking", ("steps", 0, "estimate"), [0.5, 0.5], "'steps[0].estimate'"),
+            ("tracking", ("steps",), 5, "'steps'"),
+            ("tracking", ("steps", 0), "step", "'steps[0]'"),
+            ("bloch-snapshots", ("sigma",), {"matrix": [[1, 0], [0, 0]]}, "'sigma.matrix[0][0]'"),
+            ("cdf", ("cdf_fidelity",), {"0.5": 1.0}, "'cdf_fidelity'"),
+        ],
+    )
+    def test_wrongly_shaped_document_exits_2(
+        self, config_path, tmp_path, capsys, kind, path, value, key
+    ):
+        out = tmp_path / "out"
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", "1",
+                       "--emit-traces") == 0
+        name = "summary.json" if kind == "cdf" else "traces/game_0000.json"
+        doc = json.loads((out / name).read_text())
+        *parents, last = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[last] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        assert run_cli("plot-data", "--kind", kind, "--in", edited,
+                       "--out", tmp_path / "x.csv") == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

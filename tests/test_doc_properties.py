@@ -1,11 +1,15 @@
-"""Property tests for the document round trips the harness promises.
+"""Property tests for the document round trips and the replay the harness
+promises.
 
-A config document emitted for a spec reads back to the same spec, and a
-result document re-parsed from its JSON text gives back the same trace.
+A config document emitted for a spec reads back to the same spec, a result
+document re-parsed from its JSON text gives back the same trace, and a batch
+plays the same games in parallel as serially, game k being the single game
+at seed + k.
 """
 
 import json
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +20,7 @@ from qgan_sim.harness import (
     ExperimentSpec,
     SigmaSpec,
     load_experiment,
+    run_batch,
     run_experiment,
     spec_to_doc,
     trace_from_doc,
@@ -85,3 +90,30 @@ def test_result_document_reparses_to_the_trace(seed, mode, c_limit, count_per_pa
     trace = run_experiment(ExperimentSpec(game=game, sigma=SigmaSpec(mode)))
     text = json.dumps(trace_to_doc(trace), indent=2, allow_nan=False)
     assert trace_from_doc(json.loads(text)) == trace
+
+
+small_games = st.builds(
+    GameConfig,
+    shots=st.integers(1, 500),
+    c_limit=st.integers(1, 40),
+    exact_mode=st.booleans(),
+    branchwise=st.booleans(),
+    noise=st.just(NoiseSettings()) | st.builds(
+        NoiseSettings,
+        depolarizing_eps=unit,
+        amplitude_damping_gamma=unit,
+        apply_to=st.sampled_from(("both", "generated-only")),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+# Each example starts at most two worker processes.
+@settings(max_examples=10, deadline=None)
+@given(st.builds(ExperimentSpec, game=small_games, sigma=sigmas))
+def test_batch_replays_serially_and_in_parallel(spec):
+    serial = run_batch(spec, 3, jobs=1)
+    assert run_batch(spec, 3, jobs=2) == serial
+    for k, trace in enumerate(serial):
+        game = replace(spec.game, seed=spec.game.seed + k)
+        assert trace == run_experiment(replace(spec, game=game))

@@ -479,6 +479,41 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match="'turn'"):
             trace_from_doc(doc)
 
+    @staticmethod
+    def result_doc():
+        return json.loads(json.dumps(trace_to_doc(run_experiment(fast_spec(seed=4)))))
+
+    def test_estimate_not_an_object_named(self):
+        doc = self.result_doc()
+        doc["steps"][0]["estimate"] = [0.5, 0.5]
+        with pytest.raises(ValueError, match=r"'steps\[0\]\.estimate' is not an object"):
+            trace_from_doc(doc)
+
+    def test_steps_not_an_array_named(self):
+        doc = self.result_doc()
+        doc["steps"] = 5
+        with pytest.raises(ValueError, match="'steps' is not an array"):
+            trace_from_doc(doc)
+
+    def test_step_not_an_object_named(self):
+        doc = self.result_doc()
+        doc["steps"][1] = "step"
+        with pytest.raises(ValueError, match=r"'steps\[1\]' is not an object"):
+            trace_from_doc(doc)
+
+    def test_sigma_matrix_entry_not_a_pair_named(self):
+        doc = self.result_doc()
+        doc["sigma"] = {"matrix": [[1, 0], [0, 0]]}
+        with pytest.raises(ValueError, match=r"'sigma\.matrix\[0\]\[0\]' is not an array of 2"):
+            trace_from_doc(doc)
+
+    def test_cdf_not_an_array_named(self):
+        spec = fast_spec(seed=100)
+        doc = json.loads(json.dumps(summary_to_doc(summarize_batch(run_batch(spec, 2), spec))))
+        doc["cdf_fidelity"] = 0.5
+        with pytest.raises(ValueError, match="'cdf_fidelity' is not an array"):
+            summary_from_doc(doc)
+
     def test_constructor_error_is_not_a_malformed_document(self, monkeypatch):
         doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
 

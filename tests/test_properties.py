@@ -4,7 +4,9 @@ The estimator runs on plain floats.  These properties hold it to the
 contract independently of how it is written: exact-mode probabilities
 against explicit matrix arithmetic, shot-mode frequencies against binomial
 draws from a twin generator fed the object-API probabilities, and the
-scalar fidelity against an eigendecomposition.
+scalar fidelity against an eigendecomposition.  Two geometric invariants
+stand behind checks the estimator does not make: every measurement axis
+is a unit vector, and no noise map leaves the Bloch ball.
 """
 
 import math
@@ -15,11 +17,14 @@ from hypothesis import strategies as st
 
 import oracles
 from qgan_sim import (
+    BlochVector,
     DensityMatrix,
     GeneratorParams,
     MeasurementParams,
     NoiseSettings,
+    amplitude_damp,
     apply_noise,
+    depolarize,
     estimate_d,
     fidelity,
     measurement_axis,
@@ -27,7 +32,8 @@ from qgan_sim import (
     pure_axis,
     state_bloch,
 )
-from qgan_sim.bloch import generated_fidelity
+from qgan_sim.bloch import axis_xyz, generated_fidelity, state_xyz
+from qgan_sim.noise import channel_xyz
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -158,3 +164,51 @@ def test_generated_fidelity_equals_object_route(p, v):
     r, theta, phi = p[:3]
     rho = DensityMatrix.from_bloch(state_bloch(GeneratorParams(r, theta, phi)))
     assert generated_fidelity(sigma, r, theta, phi) == fidelity(sigma, rho)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# Channel strengths with both ends of [0, 1] drawn for certain.
+strengths = st.sampled_from((0.0, 1.0)) | unit
+noise_settings = st.builds(
+    NoiseSettings,
+    depolarizing_eps=strengths,
+    amplitude_damping_gamma=strengths,
+    apply_to=st.sampled_from(("both", "generated-only")),
+)
+# Vectors on the sphere (radius exactly 1) and inside it.
+ball_vectors = st.builds(
+    lambda rad, t, p: BlochVector(
+        rad * math.sin(t) * math.cos(p), rad * math.sin(t) * math.sin(p), rad * math.cos(t)
+    ),
+    st.just(1.0) | unit,
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+def norm_sq(x, y, z):
+    return x * x + y * y + z * z
+
+
+@PROPERTY_SETTINGS
+@given(beta=finite, gamma=finite)
+def test_measurement_axis_is_unit_for_every_finite_angle(beta, gamma):
+    assert abs(math.sqrt(norm_sq(*axis_xyz(beta, gamma))) - 1.0) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(v=ball_vectors, noise=noise_settings, role=st.sampled_from(("generated", "true")))
+def test_noise_maps_keep_vectors_in_ball(v, noise, role):
+    outputs = (
+        depolarize(v, noise.depolarizing_eps),
+        amplitude_damp(v, noise.amplitude_damping_gamma),
+        apply_noise(noise, v, role),
+    )
+    for out in outputs:
+        assert norm_sq(out.x, out.y, out.z) <= 1.0 + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(r=strengths, theta=finite, phi=finite, noise=noise_settings)
+def test_channel_keeps_generated_states_in_ball(r, theta, phi, noise):
+    assert norm_sq(*channel_xyz(noise, *state_xyz(r, theta, phi))) <= 1.0 + 1e-12
