@@ -403,7 +403,9 @@ def _step_from_doc(key: str, rec) -> StepRecord:
         step_index=rec["step_index"],
         round_index=rec["round_index"],
         turn=rec["turn"],
-        params_after=tuple(_shaped(rec["params_after"], f"{key}.params_after", list)),
+        params_after=tuple(
+            _shaped(rec["params_after"], f"{key}.params_after", list, len(PARAM_NAMES))
+        ),
         estimate=OutcomeEstimate(*(estimate[f.name] for f in fields(OutcomeEstimate))),
         fidelity_ideal=rec["fidelity_ideal"],
     )
@@ -444,9 +446,7 @@ def summary_from_doc(doc: dict) -> BatchSummary:
             mean_fidelity=doc["mean_fidelity"],
             cdf_c_step=_pairs(doc["cdf_c_step"], "cdf_c_step"),
             cdf_fidelity=_pairs(doc["cdf_fidelity"], "cdf_fidelity"),
-            termination_counts=dict(
-                _shaped(doc["termination_counts"], "termination_counts", dict)
-            ),
+            termination_counts=_shaped(doc["termination_counts"], "termination_counts", dict),
             config_echo=doc["config_echo"],
         )
 

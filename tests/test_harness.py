@@ -105,6 +105,22 @@ class TestLoadExperiment:
             load_experiment({"initial": {"r": None, "theta": 0, "phi": 0, "beta": 0, "gamma": 0}})
         assert info.value.field_name == "initial.r"
 
+    @pytest.mark.parametrize("block", ["noise", "sigma", "initial"])
+    def test_every_block_walked_alike(self, block):
+        with pytest.raises(ConfigError, match=f"^{block}: expected an object, got 3$"):
+            load_experiment({block: 3})
+        with pytest.raises(ConfigError, match=f"^{block}.bogus: unknown field$") as info:
+            load_experiment({block: {"bogus": 1}})
+        assert info.value.field_name == f"{block}.bogus"
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ConfigError, match=r"^config: expected a JSON object, got \[\]$"):
+            load_experiment([])
+
+    def test_unknown_kind_is_a_programming_error(self):
+        with pytest.raises(AssertionError):
+            harness_mod._coerce("field", 1, int | None)
+
     def test_bloch_outside_fixed_mode_named_before_its_shape(self):
         with pytest.raises(ConfigError, match="only valid with mode 'fixed'") as info:
             load_experiment({"sigma": {"mode": "bloch-ball", "bloch": [0.0, "a", 0.0]}})
@@ -499,6 +515,12 @@ class TestMalformedDocuments:
         doc = self.result_doc()
         doc["steps"][1] = "step"
         with pytest.raises(ValueError, match=r"'steps\[1\]' is not an object"):
+            trace_from_doc(doc)
+
+    def test_params_after_of_wrong_length_named(self):
+        doc = self.result_doc()
+        doc["steps"][2]["params_after"] = [0.1, 0.2, 0.3, 0.4]
+        with pytest.raises(ValueError, match=r"'steps\[2\]\.params_after' is not an array of 5"):
             trace_from_doc(doc)
 
     def test_sigma_matrix_entry_not_a_pair_named(self):
