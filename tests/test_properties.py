@@ -205,7 +205,7 @@ def test_noise_maps_keep_vectors_in_ball(v, noise, role):
         apply_noise(noise, v, role),
     )
     for out in outputs:
-        assert norm_sq(out.x, out.y, out.z) <= 1.0 + 1e-12
+        assert out.norm_sq() <= 1.0 + 1e-12
 
 
 @PROPERTY_SETTINGS
