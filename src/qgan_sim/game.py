@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -54,10 +55,12 @@ __all__ = [
     "TERMINATION_BUDGET",
 ]
 
-D_TURN = "D"
-G_TURN = "G"
-TERMINATION_EQUILIBRIUM = "equilibrium"
-TERMINATION_BUDGET = "budget-exhausted"
+# The values a step's turn and a game's termination may take; the document
+# reader checks them against these annotations.
+Turn = Literal["D", "G"]
+Termination = Literal["equilibrium", "budget-exhausted"]
+D_TURN, G_TURN = get_args(Turn)
+TERMINATION_EQUILIBRIUM, TERMINATION_BUDGET = get_args(Termination)
 
 # The game loop carries both strategies as one flat tuple in this order;
 # each player varies its own slice of it.
@@ -145,7 +148,7 @@ class StepRecord:
 
     step_index: int
     round_index: int
-    turn: str
+    turn: Turn
     params_after: tuple[float, float, float, float, float]
     estimate: OutcomeEstimate
     fidelity_ideal: float
@@ -158,7 +161,7 @@ class GameTrace:
     config: GameConfig
     sigma: DensityMatrix
     steps: list[StepRecord]
-    termination: str
+    termination: Termination
     c_step_total: int
     final_fidelity: float
 

@@ -15,11 +15,11 @@ import math
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from types import FunctionType
-from typing import get_type_hints
+from types import FunctionType, UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,10 +37,8 @@ from .game import (
     PARAM_NAMES,
     GameConfig,
     GameTrace,
-    StepRecord,
     run_game,
 )
-from .noise import NoiseSettings
 from .sampling import OutcomeEstimate
 
 __all__ = [
@@ -110,6 +108,7 @@ class ExperimentSpec:
 
 
 def _coerce(field_name: str, value, kind):
+    """``value`` read as ``kind``; a mismatch is a ConfigError naming ``field_name``."""
     if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(field_name, f"expected a boolean, got {value!r}")
@@ -132,15 +131,50 @@ def _coerce(field_name: str, value, kind):
         if not isinstance(value, str):
             raise ConfigError(field_name, f"expected a string, got {value!r}")
         return value
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list or origin is tuple:
+        if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
+            what = f"an array of {len(args)} items" if origin is tuple else "an array"
+            raise ConfigError(field_name, f"expected {what}, got {value!r}")
+        kinds = args if origin is tuple else args * len(value)
+        items = (_coerce(f"{field_name}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, kinds)))
+        return origin(items)
+    if origin is dict or kind is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(field_name, f"expected an object, got {value!r}")
+        if kind is dict:  # a block taken as read
+            return value
+        # JSON object keys are strings
+        return {k: _coerce(f"{field_name}.{k}", v, args[1]) for k, v in value.items()}
+    if origin is Literal:
+        if value not in args:
+            raise ConfigError(field_name, f"expected one of {args}, got {value!r}")
+        return value
+    if origin is UnionType and args[1] is type(None):  # X | None: null is a value
+        return None if value is None else _coerce(field_name, value, args[0])
+    if is_dataclass(kind):
+        kinds, required = _kinds(kind)
+        return _build(field_name, kind, **_fields(field_name, value, kinds, required))
     if isinstance(kind, FunctionType):  # the parser of a nested block
         return kind(field_name, value)
     raise AssertionError(kind)
 
 
-def _fields(where: str, doc, kinds: dict) -> dict:
-    """The fields of config block ``where`` ("" for the top level), coerced to
-    their ``kinds``: the block must be an object with no other field, and a
-    null field counts as omitted."""
+@cache
+def _kinds(cls) -> tuple[dict, frozenset]:
+    """Dataclass ``cls``'s field kinds, from its annotations, and the names of
+    its fields without a default; read once per class."""
+    required = frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return get_type_hints(cls), required
+
+
+def _fields(where: str, doc, kinds: dict, required=frozenset()) -> dict:
+    """The fields of block ``where`` ("" for the top level), coerced to their
+    ``kinds``: the block must be an object with no other field and with each
+    ``required`` one. A null field counts as omitted unless its kind is
+    ``X | None``."""
     if not isinstance(doc, dict):
         what = "an object" if where else "a JSON object"
         raise ConfigError(where or "config", f"expected {what}, got {doc!r}")
@@ -148,10 +182,14 @@ def _fields(where: str, doc, kinds: dict) -> dict:
     unknown = set(doc) - set(kinds)
     if unknown:
         raise ConfigError(prefix + sorted(unknown)[0], "unknown field")
-    return {
-        name: _coerce(prefix + name, doc[name], kind)
-        for name, kind in kinds.items() if doc.get(name) is not None
-    }
+    block = {}
+    for name, kind in kinds.items():
+        value = doc.get(name)
+        if value is not None or (name in doc and get_origin(kind) is UnionType):
+            block[name] = _coerce(prefix + name, value, kind)
+        elif name in required:
+            raise ConfigError(where or "document", f"{name!r} is required")
+    return block
 
 
 def _parse_sigma(where: str, doc) -> SigmaSpec:
@@ -182,10 +220,6 @@ def _parse_initial(where: str, doc) -> tuple[GeneratorParams, MeasurementParams]
     return _build(f"{where}.r", GeneratorParams, r, theta, phi), MeasurementParams(beta, gamma)
 
 
-def _parse_noise(where: str, doc) -> NoiseSettings:
-    return _build(where, NoiseSettings, **_fields(where, doc, get_type_hints(NoiseSettings)))
-
-
 def _build(where: str, cls, *args, **kwargs):
     """``cls(*args, **kwargs)``; a ValueError from its checks names ``where``."""
     try:
@@ -194,13 +228,8 @@ def _build(where: str, cls, *args, **kwargs):
         raise ConfigError(where, str(exc)) from exc
 
 
-# Top-level kinds: GameConfig's annotated scalars, and a parser per nested block.
-_CONFIG_KINDS = {
-    **get_type_hints(GameConfig),
-    "noise": _parse_noise,
-    "sigma": _parse_sigma,
-    "initial": _parse_initial,
-}
+# Top-level kinds: GameConfig's annotations, and a parser per block it lacks.
+_CONFIG_KINDS = {**get_type_hints(GameConfig), "sigma": _parse_sigma, "initial": _parse_initial}
 
 
 def resolve_seed(cli_seed: int | None, config_seed: int | None, env=os.environ) -> int:
@@ -362,67 +391,36 @@ def trace_to_doc(trace: GameTrace) -> dict:
     }
 
 
-@contextmanager
-def _reading(kind: str, schema: str, doc):
-    """Check ``doc`` is a ``schema`` document; inside the block, a missing key
-    raises ValueError naming it."""
+def _body(kind: str, schema: str, doc) -> dict:
+    """The fields of ``doc`` but its schema, which must be ``schema``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} document is not a JSON object")
     if doc.get("schema") != schema:
         raise ValueError(f"unexpected {kind} schema {doc.get('schema')!r}")
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{kind} document has no {exc.args[0]!r} key") from exc
+    return {key: value for key, value in doc.items() if key != "schema"}
 
 
-def _shaped(value, key: str, kind: type, length: int | None = None):
-    """``value``, read from ``key``; raises ValueError naming the key unless it
-    is a JSON array (``kind=list``, of ``length`` items if given) or object."""
-    if not isinstance(value, kind) or (length is not None and len(value) != length):
-        what = "an object" if kind is dict else "an array"
-        raise ValueError(f"{key!r} is not {what}" + (f" of {length} items" if length else ""))
-    return value
+def _sigma_from_doc(where: str, doc) -> DensityMatrix:
+    block = _fields(where, doc, _SIGMA_KINDS, required={"matrix"})
+    rows = [[complex(re, im) for re, im in row] for row in block["matrix"]]
+    return _build(f"{where}.matrix", DensityMatrix, rows)
 
 
-def _pairs(value, key: str) -> list[tuple]:
-    items = _shaped(value, key, list)
-    return [tuple(_shaped(p, f"{key}[{i}]", list, 2)) for i, p in enumerate(items)]
+# sigma.bloch is written for readers of the file; the matrix defines the state.
+_SIGMA_KINDS = {"matrix": list[list[tuple[float, float]]], "bloch": tuple[float, float, float]}
 
-
-def _sigma_from_doc(block) -> DensityMatrix:
-    rows = _shaped(_shaped(block, "sigma", dict)["matrix"], "sigma.matrix", list)
-    pairs = [_pairs(row, f"sigma.matrix[{i}]") for i, row in enumerate(rows)]
-    return DensityMatrix(np.array([[complex(re, im) for re, im in row] for row in pairs]))
-
-
-def _step_from_doc(key: str, rec) -> StepRecord:
-    rec = _shaped(rec, key, dict)
-    estimate = _shaped(rec["estimate"], f"{key}.estimate", dict)
-    return StepRecord(
-        step_index=rec["step_index"],
-        round_index=rec["round_index"],
-        turn=rec["turn"],
-        params_after=tuple(
-            _shaped(rec["params_after"], f"{key}.params_after", list, len(PARAM_NAMES))
-        ),
-        estimate=OutcomeEstimate(*(estimate[f.name] for f in fields(OutcomeEstimate))),
-        fidelity_ideal=rec["fidelity_ideal"],
-    )
+# GameTrace's annotations, but config is read as a config file and sigma from
+# its matrix, both after the other fields: a bare document lacks 'steps' first.
+_TRACE_KINDS = {
+    **{n: kind for n, kind in get_type_hints(GameTrace).items() if n not in ("config", "sigma")},
+    "config": lambda where, raw: load_experiment(raw, env={}).game,
+    "sigma": _sigma_from_doc,
+}
 
 
 def trace_from_doc(doc: dict) -> GameTrace:
-    with _reading("result", RESULT_SCHEMA, doc):
-        records = _shaped(doc["steps"], "steps", list)
-        steps = [_step_from_doc(f"steps[{i}]", rec) for i, rec in enumerate(records)]
-        return GameTrace(
-            config=load_experiment(doc["config"], env={}).game,
-            sigma=_sigma_from_doc(doc["sigma"]),
-            steps=steps,
-            termination=doc["termination"],
-            c_step_total=doc["c_step_total"],
-            final_fidelity=doc["final_fidelity"],
-        )
+    body = _body("result", RESULT_SCHEMA, doc)
+    return GameTrace(**_fields("", body, _TRACE_KINDS, required=_TRACE_KINDS))
 
 
 def summary_to_doc(summary: BatchSummary) -> dict:
@@ -439,16 +437,7 @@ def summary_to_doc(summary: BatchSummary) -> dict:
 
 
 def summary_from_doc(doc: dict) -> BatchSummary:
-    with _reading("summary", SUMMARY_SCHEMA, doc):
-        return BatchSummary(
-            games=doc["games"],
-            mean_c_step=doc["mean_c_step"],
-            mean_fidelity=doc["mean_fidelity"],
-            cdf_c_step=_pairs(doc["cdf_c_step"], "cdf_c_step"),
-            cdf_fidelity=_pairs(doc["cdf_fidelity"], "cdf_fidelity"),
-            termination_counts=_shaped(doc["termination_counts"], "termination_counts", dict),
-            config_echo=doc["config_echo"],
-        )
+    return _coerce("", _body("summary", SUMMARY_SCHEMA, doc), BatchSummary)
 
 
 def _write_text(path: str | Path, text: str) -> None:

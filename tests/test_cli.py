@@ -226,18 +226,67 @@ class TestRejectedInput:
         assert "shotz" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    # The first five ids are the ones pytest generated when each case named
+    # only its key, so those tests keep their names.
     @pytest.mark.parametrize(
-        "kind, path, value, key",
+        "kind, path, value, message",
         [
-            ("tracking", ("steps", 0, "estimate"), [0.5, 0.5], "'steps[0].estimate'"),
-            ("tracking", ("steps",), 5, "'steps'"),
-            ("tracking", ("steps", 0), "step", "'steps[0]'"),
-            ("bloch-snapshots", ("sigma",), {"matrix": [[1, 0], [0, 0]]}, "'sigma.matrix[0][0]'"),
-            ("cdf", ("cdf_fidelity",), {"0.5": 1.0}, "'cdf_fidelity'"),
+            pytest.param(
+                "tracking", ("steps", 0, "estimate"), [0.5, 0.5],
+                "steps[0].estimate: expected an object, got [0.5, 0.5]",
+                id="tracking-path0-value0-'steps[0].estimate'",
+            ),
+            pytest.param(
+                "tracking", ("steps",), 5, "steps: expected an array, got 5",
+                id="tracking-path1-5-'steps'",
+            ),
+            pytest.param(
+                "tracking", ("steps", 0), "step", "steps[0]: expected an object, got 'step'",
+                id="tracking-path2-step-'steps[0]'",
+            ),
+            pytest.param(
+                "bloch-snapshots", ("sigma",), {"matrix": [[1, 0], [0, 0]]},
+                "sigma.matrix[0][0]: expected an array of 2 items, got 1",
+                id="bloch-snapshots-path3-value3-'sigma.matrix[0][0]'",
+            ),
+            pytest.param(
+                "cdf", ("cdf_fidelity",), {"0.5": 1.0},
+                "cdf_fidelity: expected an array, got {'0.5': 1.0}",
+                id="cdf-path4-value4-'cdf_fidelity'",
+            ),
+            pytest.param(
+                "tracking", ("steps", 0, "step_index"), "x",
+                "steps[0].step_index: expected an integer, got 'x'",
+                id="step_index-string",
+            ),
+            pytest.param(
+                "bloch-snapshots", ("sigma", "matrix", 0, 0), ["1", "0"],
+                "sigma.matrix[0][0][0]: expected a number, got '1'",
+                id="sigma-matrix-pair-of-strings",
+            ),
+            pytest.param(
+                "tracking", ("steps", 0, "fidelity_ideal"), "x",
+                "steps[0].fidelity_ideal: expected a number, got 'x'",
+                id="fidelity_ideal-string",
+            ),
+            pytest.param(
+                "tracking", ("steps", 0, "estimate", "shots"), "5",
+                "steps[0].estimate.shots: expected an integer, got '5'",
+                id="shots-string",
+            ),
+            pytest.param(
+                "tracking", ("steps", 0, "estimate", "p_rho_hat"), None,
+                "steps[0].estimate: 'p_rho_hat' is required",
+                id="p_rho_hat-null",
+            ),
+            pytest.param(
+                "cdf", ("games",), "x", "games: expected an integer, got 'x'",
+                id="games-string",
+            ),
         ],
     )
     def test_wrongly_shaped_document_exits_2(
-        self, config_path, tmp_path, capsys, kind, path, value, key
+        self, config_path, tmp_path, capsys, kind, path, value, message
     ):
         out = tmp_path / "out"
         assert run_cli("batch", "--config", config_path, "--out", out, "--n", "1",
@@ -253,5 +302,5 @@ class TestRejectedInput:
         edited.write_text(json.dumps(doc))
         assert run_cli("plot-data", "--kind", kind, "--in", edited,
                        "--out", tmp_path / "x.csv") == 2
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "x.csv").exists()

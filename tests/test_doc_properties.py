@@ -4,7 +4,8 @@ promises.
 A config document emitted for a spec reads back to the same spec, a result
 document re-parsed from its JSON text gives back the same trace, and a batch
 plays the same games in parallel as serially, game k being the single game
-at seed + k.
+at seed + k. A document with any one value replaced by a wrong one is read,
+or rejected with a ValueError naming that value's path.
 """
 
 import json
@@ -23,6 +24,9 @@ from qgan_sim.harness import (
     run_batch,
     run_experiment,
     spec_to_doc,
+    summarize_batch,
+    summary_from_doc,
+    summary_to_doc,
     trace_from_doc,
     trace_to_doc,
 )
@@ -117,3 +121,73 @@ def test_batch_replays_serially_and_in_parallel(spec):
     for k, trace in enumerate(serial):
         game = replace(spec.game, seed=spec.game.seed + k)
         assert trace == run_experiment(replace(spec, game=game))
+
+
+def _leaves(node, path=()):
+    """(path, value) for every value under ``node`` that is not a container."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, (*path, key))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _leaves(child, (*path, index))
+    else:
+        yield path, node
+
+
+def _path_name(path) -> str:
+    """The name the readers give ``path``: ``steps[0].estimate.shots``, and
+    ``document`` for the whole. A result's config block is read as a config
+    file, whose fields are named without the ``config.`` prefix."""
+    if path[:1] == ("config",) and len(path) > 1:
+        path = path[1:]
+    name = ""
+    for part in path:
+        name += f"[{part}]" if isinstance(part, int) else f".{part}" if name else part
+    return name or "document"
+
+
+def _names_leaf(message: str, path, kind: str) -> bool:
+    """Whether ``message`` names the value at ``path``: by its own name, or
+    by its block's name followed by the field's. The second form is how a
+    constructor's check (``noise: apply_to must be ...``) and a missing field
+    (``steps[0]: 'turn' is required``, also for a null) are reported."""
+    if path == ("schema",):
+        return message.startswith(f"unexpected {kind} schema")
+    block, field = _path_name(path[:-1]), path[-1]
+    return message.startswith(
+        (f"{_path_name(path)}: ", f"{block}: {field} ", f"{block}: {field!r} ")
+    )
+
+
+def test_a_wrong_leaf_is_read_or_named():
+    small = dict(c_limit=6, per_turn_cap=3)
+    shot = GameConfig(shots=50, noise=NoiseSettings.decoherence_preset(), seed=5, **small)
+    exact = GameConfig(exact_mode=True, seed=6, **small)
+    batch = ExperimentSpec(game=GameConfig(shots=50, seed=7, **small))
+    cases = [
+        (trace_to_doc(run_experiment(ExperimentSpec(game=shot))), trace_from_doc, "result"),
+        (
+            trace_to_doc(run_experiment(ExperimentSpec(game=exact, sigma=SigmaSpec("bloch-ball")))),
+            trace_from_doc,
+            "result",
+        ),
+        (summary_to_doc(summarize_batch(run_batch(batch, 3), batch)), summary_from_doc, "summary"),
+    ]
+    unnamed = []
+    for original, read, kind in cases:
+        text = json.dumps(original)
+        for path, _ in _leaves(original):
+            for bad in ("x", None, [], {}, True):
+                doc = json.loads(text)
+                *parents, last = path
+                target = doc
+                for part in parents:
+                    target = target[part]
+                target[last] = bad
+                try:
+                    read(doc)
+                except ValueError as exc:
+                    if not _names_leaf(str(exc), path, kind):
+                        unnamed.append((path, bad, str(exc)))
+    assert not unnamed, unnamed[:5]

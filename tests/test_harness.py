@@ -119,7 +119,7 @@ class TestLoadExperiment:
 
     def test_unknown_kind_is_a_programming_error(self):
         with pytest.raises(AssertionError):
-            harness_mod._coerce("field", 1, int | None)
+            harness_mod._coerce("field", 1, complex)
 
     def test_bloch_outside_fixed_mode_named_before_its_shape(self):
         with pytest.raises(ConfigError, match="only valid with mode 'fixed'") as info:
@@ -502,38 +502,56 @@ class TestMalformedDocuments:
     def test_estimate_not_an_object_named(self):
         doc = self.result_doc()
         doc["steps"][0]["estimate"] = [0.5, 0.5]
-        with pytest.raises(ValueError, match=r"'steps\[0\]\.estimate' is not an object"):
+        with pytest.raises(ValueError, match=r"^steps\[0\]\.estimate: expected an object, got \[0\.5, 0\.5\]$"):
             trace_from_doc(doc)
 
     def test_steps_not_an_array_named(self):
         doc = self.result_doc()
         doc["steps"] = 5
-        with pytest.raises(ValueError, match="'steps' is not an array"):
+        with pytest.raises(ValueError, match="^steps: expected an array, got 5$"):
             trace_from_doc(doc)
 
     def test_step_not_an_object_named(self):
         doc = self.result_doc()
         doc["steps"][1] = "step"
-        with pytest.raises(ValueError, match=r"'steps\[1\]' is not an object"):
+        with pytest.raises(ValueError, match=r"^steps\[1\]: expected an object, got 'step'$"):
             trace_from_doc(doc)
 
     def test_params_after_of_wrong_length_named(self):
         doc = self.result_doc()
         doc["steps"][2]["params_after"] = [0.1, 0.2, 0.3, 0.4]
-        with pytest.raises(ValueError, match=r"'steps\[2\]\.params_after' is not an array of 5"):
+        with pytest.raises(
+            ValueError,
+            match=r"^steps\[2\]\.params_after: expected an array of 5 items, got \[0\.1, 0\.2, 0\.3, 0\.4\]$",
+        ):
             trace_from_doc(doc)
 
     def test_sigma_matrix_entry_not_a_pair_named(self):
         doc = self.result_doc()
         doc["sigma"] = {"matrix": [[1, 0], [0, 0]]}
-        with pytest.raises(ValueError, match=r"'sigma\.matrix\[0\]\[0\]' is not an array of 2"):
+        with pytest.raises(ValueError, match=r"^sigma\.matrix\[0\]\[0\]: expected an array of 2 items, got 1$"):
+            trace_from_doc(doc)
+
+    def test_turn_outside_d_and_g_named(self):
+        doc = self.result_doc()
+        doc["steps"][1]["turn"] = "Q"
+        with pytest.raises(ConfigError, match=r"^steps\[1\]\.turn: expected one of \('D', 'G'\), got 'Q'$"):
+            trace_from_doc(doc)
+
+    def test_unknown_termination_named(self):
+        doc = self.result_doc()
+        doc["termination"] = "stalled"
+        with pytest.raises(
+            ConfigError,
+            match=r"^termination: expected one of \('equilibrium', 'budget-exhausted'\), got 'stalled'$",
+        ):
             trace_from_doc(doc)
 
     def test_cdf_not_an_array_named(self):
         spec = fast_spec(seed=100)
         doc = json.loads(json.dumps(summary_to_doc(summarize_batch(run_batch(spec, 2), spec))))
         doc["cdf_fidelity"] = 0.5
-        with pytest.raises(ValueError, match="'cdf_fidelity' is not an array"):
+        with pytest.raises(ValueError, match=r"^cdf_fidelity: expected an array, got 0\.5$"):
             summary_from_doc(doc)
 
     def test_constructor_error_is_not_a_malformed_document(self, monkeypatch):
