@@ -166,9 +166,12 @@ class DensityMatrix:
         low = float(np.linalg.eigvalsh(herm)[0])
         if low < -_EIG_TOL:
             raise ValueError(f"matrix is not positive semidefinite (eigenvalue {low!r})")
-        self._set(float(herm[0, 0].real), complex(off), float(herm[1, 1].real))
+        self._set(herm[0, 0].real, off, herm[1, 1].real)
 
     def _set(self, m00: float, m01: complex, m11: float) -> None:
+        # Stored as plain Python numbers whatever the caller passed: numpy
+        # scalars would ride into every estimate at several times the cost.
+        m00, m01, m11 = float(m00), complex(m01), float(m11)
         self._entries = (m00, m01, m11)
         self._measured = None
         m10 = m01.conjugate()

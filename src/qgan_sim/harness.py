@@ -418,9 +418,27 @@ _TRACE_KINDS = {
 }
 
 
+def _unit_interval(where: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(where, f"expected a number in [0, 1], got {value!r}")
+
+
 def trace_from_doc(doc: dict) -> GameTrace:
     body = _body("result", RESULT_SCHEMA, doc)
-    return GameTrace(**_fields("", body, _TRACE_KINDS, required=_TRACE_KINDS))
+    trace = GameTrace(**_fields("", body, _TRACE_KINDS, required=_TRACE_KINDS))
+    # What the game loop cannot write: a fidelity outside [0, 1], or a step
+    # index that does not rise (snapshots look steps up by their index).
+    previous = None
+    for i, rec in enumerate(trace.steps):
+        if previous is not None and rec.step_index <= previous:
+            raise ConfigError(
+                f"steps[{i}].step_index",
+                f"expected more than the previous step's {previous}, got {rec.step_index}",
+            )
+        previous = rec.step_index
+        _unit_interval(f"steps[{i}].fidelity_ideal", rec.fidelity_ideal)
+    _unit_interval("final_fidelity", trace.final_fidelity)
+    return trace
 
 
 def summary_to_doc(summary: BatchSummary) -> dict:
@@ -437,7 +455,36 @@ def summary_to_doc(summary: BatchSummary) -> dict:
 
 
 def summary_from_doc(doc: dict) -> BatchSummary:
-    return _coerce("", _body("summary", SUMMARY_SCHEMA, doc), BatchSummary)
+    summary = _coerce("", _body("summary", SUMMARY_SCHEMA, doc), BatchSummary)
+    # Each CDF as _empirical_cdf writes it: one pair per game, values that
+    # never fall, probabilities rising strictly within (0, 1] up to 1.
+    if summary.games < 1:
+        raise ConfigError("games", f"expected at least 1, got {summary.games}")
+    for name in ("cdf_c_step", "cdf_fidelity"):
+        pairs = getattr(summary, name)
+        if len(pairs) != summary.games:
+            raise ConfigError(
+                name, f"expected one pair per game ({summary.games}), got {len(pairs)}"
+            )
+        last_v, last_p = -math.inf, 0.0
+        for i, (v, p) in enumerate(pairs):
+            if v < last_v:
+                raise ConfigError(
+                    f"{name}[{i}]", f"value {v!r} falls below the previous {last_v!r}"
+                )
+            if not last_p < p <= 1.0:
+                raise ConfigError(
+                    f"{name}[{i}]",
+                    f"cumulative probability {p!r} must rise strictly from {last_p!r} "
+                    "within (0, 1]",
+                )
+            last_v, last_p = v, p
+        if last_p != 1.0:
+            raise ConfigError(
+                f"{name}[{len(pairs) - 1}]",
+                f"the last cumulative probability must be 1, got {last_p!r}",
+            )
+    return summary
 
 
 def _write_text(path: str | Path, text: str) -> None:

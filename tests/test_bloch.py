@@ -102,6 +102,14 @@ class TestDensityMatrix:
         assert a == b and hash(a) == hash(b)
         assert a != DensityMatrix.maximally_mixed()
 
+    def test_numpy_components_stored_as_plain_numbers(self):
+        rho = DensityMatrix.from_bloch(BlochVector(*np.array([0.3, -0.2, 0.5])))
+        plain = DensityMatrix.from_bloch(BlochVector(0.3, -0.2, 0.5))
+        v = rho.to_bloch()
+        assert [type(e) for e in rho._entries] == [float, complex, float]
+        assert [type(c) for c in (v.x, v.y, v.z)] == [float, float, float]
+        assert rho == plain and hash(rho) == hash(plain)
+
 
 class TestStateBloch:
     def test_ground_state_itself(self):

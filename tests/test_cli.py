@@ -304,3 +304,97 @@ class TestRejectedInput:
                        "--out", tmp_path / "x.csv") == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    # Documents of the right shape that the program cannot have written.
+    @pytest.mark.parametrize(
+        "kind, edits, message",
+        [
+            pytest.param(
+                "cdf", {("cdf_fidelity",): [[0.9, 0.8], [0.5, 0.1], [0.99, -0.5]]},
+                "cdf_fidelity[1]: value 0.5 falls below the previous 0.9",
+                id="cdf-value-falls",
+            ),
+            pytest.param(
+                "cdf", {("cdf_fidelity",): [[0.5, 0.5], [0.6, 0.4], [0.7, 1.0]]},
+                "cdf_fidelity[1]: cumulative probability 0.4 must rise strictly from 0.5"
+                " within (0, 1]",
+                id="cdf-probability-falls",
+            ),
+            pytest.param(
+                "cdf", {("cdf_fidelity",): [[0.5, 0.5], [0.6, 0.5], [0.7, 1.0]]},
+                "cdf_fidelity[1]: cumulative probability 0.5 must rise strictly from 0.5"
+                " within (0, 1]",
+                id="cdf-probability-repeats",
+            ),
+            pytest.param(
+                "cdf", {("cdf_fidelity",): [[0.5, 0.0], [0.6, 0.5], [0.7, 1.0]]},
+                "cdf_fidelity[0]: cumulative probability 0.0 must rise strictly from 0.0"
+                " within (0, 1]",
+                id="cdf-probability-zero",
+            ),
+            pytest.param(
+                "cdf", {("cdf_fidelity",): [[0.5, 0.5], [0.6, 1.5], [0.7, 2.0]]},
+                "cdf_fidelity[1]: cumulative probability 1.5 must rise strictly from 0.5"
+                " within (0, 1]",
+                id="cdf-probability-above-one",
+            ),
+            pytest.param(
+                "cdf", {("cdf_fidelity",): [[0.5, 0.2], [0.6, 0.4], [0.7, 0.9]]},
+                "cdf_fidelity[2]: the last cumulative probability must be 1, got 0.9",
+                id="cdf-last-probability-not-one",
+            ),
+            pytest.param(
+                "cdf", {("games",): 7},
+                "cdf_c_step: expected one pair per game (7), got 3",
+                id="cdf-length-not-games",
+            ),
+            pytest.param(
+                "cdf", {("games",): 0, ("cdf_c_step",): [], ("cdf_fidelity",): []},
+                "games: expected at least 1, got 0",
+                id="cdf-no-games",
+            ),
+            pytest.param(
+                "tracking", {("steps", 1, "fidelity_ideal"): 7.5},
+                "steps[1].fidelity_ideal: expected a number in [0, 1], got 7.5",
+                id="fidelity_ideal-above-one",
+            ),
+            pytest.param(
+                "tracking", {("steps", 0, "fidelity_ideal"): -0.25},
+                "steps[0].fidelity_ideal: expected a number in [0, 1], got -0.25",
+                id="fidelity_ideal-negative",
+            ),
+            pytest.param(
+                "tracking", {("final_fidelity",): 1.5},
+                "final_fidelity: expected a number in [0, 1], got 1.5",
+                id="final_fidelity-above-one",
+            ),
+            pytest.param(
+                "bloch-snapshots", {("steps", 0, "step_index"): 2, ("steps", 1, "step_index"): 2},
+                "steps[1].step_index: expected more than the previous step's 2, got 2",
+                id="step_index-repeats",
+            ),
+            pytest.param(
+                "bloch-snapshots", {("steps", 0, "step_index"): 2, ("steps", 1, "step_index"): 1},
+                "steps[1].step_index: expected more than the previous step's 2, got 1",
+                id="step_index-falls",
+            ),
+        ],
+    )
+    def test_impossible_document_exits_2(self, config_path, tmp_path, capsys, kind, edits, message):
+        out = tmp_path / "out"
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", "3",
+                       "--emit-traces") == 0
+        name = "summary.json" if kind == "cdf" else "traces/game_0000.json"
+        doc = json.loads((out / name).read_text())
+        for path, value in edits.items():
+            *parents, last = path
+            target = doc
+            for step in parents:
+                target = target[step]
+            target[last] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        assert run_cli("plot-data", "--kind", kind, "--in", edited,
+                       "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()

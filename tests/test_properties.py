@@ -6,12 +6,16 @@ against explicit matrix arithmetic, shot-mode frequencies against binomial
 draws from a twin generator fed the object-API probabilities, and the
 scalar fidelity against an eigendecomposition.  Two geometric invariants
 stand behind checks the estimator does not make: every measurement axis
-is a unit vector, and no noise map leaves the Bloch ball.
+is a unit vector, and no noise map leaves the Bloch ball.  Every number a
+game records is a plain Python number, whichever way its true state was
+drawn.
 """
 
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +23,7 @@ import oracles
 from qgan_sim import (
     BlochVector,
     DensityMatrix,
+    GameConfig,
     GeneratorParams,
     MeasurementParams,
     NoiseSettings,
@@ -32,7 +37,8 @@ from qgan_sim import (
     pure_axis,
     state_bloch,
 )
-from qgan_sim.bloch import axis_xyz, generated_fidelity, state_xyz
+from qgan_sim.bloch import SIGMA_MODES, axis_xyz, generated_fidelity, state_xyz
+from qgan_sim.harness import ExperimentSpec, SigmaSpec, run_experiment
 from qgan_sim.noise import channel_xyz
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -212,3 +218,39 @@ def test_noise_maps_keep_vectors_in_ball(v, noise, role):
 @given(r=strengths, theta=finite, phi=finite, noise=noise_settings)
 def test_channel_keeps_generated_states_in_ball(r, theta, phi, noise):
     assert norm_sq(*channel_xyz(noise, *state_xyz(r, theta, phi))) <= 1.0 + 1e-12
+
+
+def _values(node):
+    """Every value under a trace: its dataclass fields, sequences, and each
+    state's stored entries and Bloch vector."""
+    if isinstance(node, DensityMatrix):
+        yield from node._entries
+        yield from _values(node.to_bloch())
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _values(getattr(node, f.name))
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _values(item)
+    else:
+        yield node
+
+
+# A fixed sigma given as numpy values, as a caller holding an array would.
+_SIGMAS = [SigmaSpec("fixed", tuple(np.array([0.3, -0.2, 0.5]))) if mode == "fixed"
+           else SigmaSpec(mode) for mode in SIGMA_MODES]
+
+
+@pytest.mark.parametrize("sigma", _SIGMAS, ids=SIGMA_MODES)
+@pytest.mark.parametrize("exact_mode", [True, False], ids=["exact", "shot"])
+@pytest.mark.parametrize("noise", [NoiseSettings(), NoiseSettings.decoherence_preset()],
+                         ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("branchwise", [False, True], ids=["ensemble", "branchwise"])
+@settings(max_examples=3, deadline=None)
+@given(seed=seeds)
+def test_game_records_only_plain_numbers(sigma, exact_mode, noise, branchwise, seed):
+    game = GameConfig(shots=200, c_limit=12, per_turn_cap=6, exact_mode=exact_mode,
+                      noise=noise, branchwise=branchwise, seed=seed)
+    trace = run_experiment(ExperimentSpec(game=game, sigma=sigma))
+    kinds = {type(x) for x in _values(trace)}
+    assert kinds <= {float, int, complex, bool, str, type(None)}, kinds
