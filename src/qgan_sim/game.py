@@ -156,14 +156,14 @@ class StepRecord:
 
 @dataclass
 class GameTrace:
-    """Full record of one game: every step plus the final outcome."""
+    """Full record of one game, its fields in result-document order: outcome, then steps."""
 
     config: GameConfig
     sigma: DensityMatrix
-    steps: list[StepRecord]
     termination: Termination
     c_step_total: int
     final_fidelity: float
+    steps: list[StepRecord]
 
 
 def _measure(

@@ -15,7 +15,7 @@ import math
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from types import FunctionType, UnionType
@@ -39,7 +39,6 @@ from .game import (
     GameTrace,
     run_game,
 )
-from .sampling import OutcomeEstimate
 
 __all__ = [
     "ConfigError",
@@ -340,12 +339,29 @@ def summarize_batch(traces: list[GameTrace], spec: ExperimentSpec) -> BatchSumma
 # JSON documents
 # --------------------------------------------------------------------------
 
-def _complex_pairs(m: np.ndarray) -> list:
-    return [[[float(c.real), float(c.imag)] for c in row] for row in m]
+def _sigma_to_doc(sigma: DensityMatrix) -> dict:
+    v = sigma.to_bloch()
+    matrix = [[[c.real, c.imag] for c in row] for row in sigma.matrix.tolist()]
+    return {"matrix": matrix, "bloch": [v.x, v.y, v.z]}
+
+
+@cache
+def _writer(kind):
+    """The function writing a value of ``kind`` as JSON data, the inverse of
+    ``_coerce``, or None for a value written as it is; built once per kind."""
+    if kind is DensityMatrix:
+        return _sigma_to_doc
+    if is_dataclass(kind):  # an object of its fields, in field order
+        plan = [(name, _writer(k)) for name, k in _kinds(kind)[0].items()]
+        return lambda x: {n: getattr(x, n) if w is None else w(getattr(x, n)) for n, w in plan}
+    if get_origin(kind) in (list, tuple):  # an array, never a tuple: it must equal its reparse
+        (write,) = {_writer(k) for k in get_args(kind)}  # a tuple's items are written alike
+        return list if write is None else lambda items: [write(v) for v in items]
+    return None
 
 
 def spec_to_doc(spec: ExperimentSpec) -> dict:
-    doc = asdict(spec.game)
+    doc = _writer(GameConfig)(spec.game)
     doc["sigma"] = {"mode": spec.sigma.mode}
     if spec.sigma.bloch is not None:
         doc["sigma"]["bloch"] = list(spec.sigma.bloch)
@@ -355,40 +371,9 @@ def spec_to_doc(spec: ExperimentSpec) -> dict:
     return doc
 
 
-def _estimate_to_doc(est: OutcomeEstimate) -> dict:
-    return {
-        "p_rho_hat": est.p_rho_hat,
-        "p_sigma_hat": est.p_sigma_hat,
-        "d_hat": est.d_hat,
-        "shots": est.shots,
-    }
-
-
 def trace_to_doc(trace: GameTrace) -> dict:
     """Full-precision JSON document for one game; reparses to an equal trace."""
-    sigma_bloch = trace.sigma.to_bloch()
-    return {
-        "schema": RESULT_SCHEMA,
-        "config": asdict(trace.config),
-        "sigma": {
-            "matrix": _complex_pairs(trace.sigma.matrix),
-            "bloch": [sigma_bloch.x, sigma_bloch.y, sigma_bloch.z],
-        },
-        "termination": trace.termination,
-        "c_step_total": trace.c_step_total,
-        "final_fidelity": trace.final_fidelity,
-        "steps": [
-            {
-                "step_index": rec.step_index,
-                "round_index": rec.round_index,
-                "turn": rec.turn,
-                "params_after": list(rec.params_after),
-                "estimate": _estimate_to_doc(rec.estimate),
-                "fidelity_ideal": rec.fidelity_ideal,
-            }
-            for rec in trace.steps
-        ],
-    }
+    return {"schema": RESULT_SCHEMA, **_writer(GameTrace)(trace)}
 
 
 def _body(kind: str, schema: str, doc) -> dict:
@@ -409,10 +394,11 @@ def _sigma_from_doc(where: str, doc) -> DensityMatrix:
 # sigma.bloch is written for readers of the file; the matrix defines the state.
 _SIGMA_KINDS = {"matrix": list[list[tuple[float, float]]], "bloch": tuple[float, float, float]}
 
-# GameTrace's annotations, but config is read as a config file and sigma from
-# its matrix, both after the other fields: a bare document lacks 'steps' first.
+# GameTrace's annotations, but steps is read first and config (as a config
+# file) and sigma (from its matrix) last: a bare document lacks 'steps' first.
 _TRACE_KINDS = {
-    **{n: kind for n, kind in get_type_hints(GameTrace).items() if n not in ("config", "sigma")},
+    "steps": _kinds(GameTrace)[0]["steps"],
+    **{n: kind for n, kind in _kinds(GameTrace)[0].items() if n not in ("config", "sigma")},
     "config": lambda where, raw: load_experiment(raw, env={}).game,
     "sigma": _sigma_from_doc,
 }
@@ -442,16 +428,7 @@ def trace_from_doc(doc: dict) -> GameTrace:
 
 
 def summary_to_doc(summary: BatchSummary) -> dict:
-    return {
-        "schema": SUMMARY_SCHEMA,
-        "games": summary.games,
-        "mean_c_step": summary.mean_c_step,
-        "mean_fidelity": summary.mean_fidelity,
-        "cdf_c_step": [[v, p] for v, p in summary.cdf_c_step],
-        "cdf_fidelity": [[v, p] for v, p in summary.cdf_fidelity],
-        "termination_counts": summary.termination_counts,
-        "config_echo": summary.config_echo,
-    }
+    return {"schema": SUMMARY_SCHEMA, **_writer(BatchSummary)(summary)}
 
 
 def summary_from_doc(doc: dict) -> BatchSummary:
