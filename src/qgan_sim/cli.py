@@ -47,6 +47,11 @@ def cmd_batch(args) -> int:
             harness.write_json(
                 harness.trace_to_doc(trace), traces_dir / f"game_{k:04d}.json"
             )
+        # Traces left by an earlier, larger batch would outlive its summary.
+        for path in traces_dir.glob("game_*.json"):
+            index = path.name[len("game_"):-len(".json")]
+            if index.isdecimal() and int(index) >= args.n:
+                path.unlink()
     print(
         f"games={summary.games} mean_c_step={summary.mean_c_step:.2f} "
         f"mean_F={summary.mean_fidelity:.6f} "
@@ -59,9 +64,12 @@ def _parse_steps(raw: str | None) -> list[int] | None:
     if raw is None:
         return None
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise harness.ConfigError("--steps", f"expected comma-separated integers, got {raw!r}") from exc
+        steps = [int(part) for part in raw.split(",") if part.strip()]
+        if steps:
+            return steps
+    except ValueError:
+        pass
+    raise harness.ConfigError("--steps", f"expected comma-separated integers, got {raw!r}")
 
 
 def cmd_plot_data(args) -> int:
@@ -80,6 +88,15 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
+def _seed(raw: str) -> int:
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgan-sim",
@@ -90,13 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="play one game and record its trajectory")
     run.add_argument("--config", required=True, help="JSON config file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", type=int, default=None, help="seed override")
+    run.add_argument("--seed", type=_seed, default=None, help="seed override")
     run.set_defaults(func=cmd_run)
 
     batch = sub.add_parser("batch", help="play N seeded games and summarize")
     batch.add_argument("--config", required=True, help="JSON config file")
     batch.add_argument("--out", required=True, help="output directory")
-    batch.add_argument("--seed", type=int, default=None, help="seed override")
+    batch.add_argument("--seed", type=_seed, default=None, help="seed override")
     batch.add_argument("--n", type=int, required=True, help="number of games")
     batch.add_argument("--jobs", type=int, default=1, help="parallel workers")
     batch.add_argument(

@@ -238,13 +238,13 @@ def resolve_seed(cli_seed: int | None, config_seed: int | None, env=os.environ) 
         return cli_seed
     if config_seed is not None:
         return config_seed
-    raw = env.get(SEED_ENV_VAR)
-    if raw is not None:
-        try:
+    raw = env.get(SEED_ENV_VAR, "0")
+    try:
+        if int(raw) >= 0:
             return int(raw)
-        except ValueError as exc:
-            raise ConfigError(SEED_ENV_VAR, f"expected an integer, got {raw!r}") from exc
-    return 0
+    except ValueError:
+        pass
+    raise ConfigError(SEED_ENV_VAR, f"expected a non-negative integer, got {raw!r}")
 
 
 def load_experiment(doc: dict, seed_override: int | None = None, env=os.environ) -> ExperimentSpec:

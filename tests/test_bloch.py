@@ -92,6 +92,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="positive semidefinite"):
             DensityMatrix([[1.2, 0.0], [0.0, -0.2]])
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="2x2"):
+            DensityMatrix(np.eye(3) / 3)
+
     def test_pure_ground_is_plus_z(self):
         v = DensityMatrix.pure_ground().to_bloch()
         assert (v.x, v.y, v.z) == (0.0, 0.0, 1.0)
@@ -344,6 +348,15 @@ class TestRandomTrueState:
     def test_fixed_mode_rejects_outside_ball(self):
         with pytest.raises(ValueError, match="unit ball"):
             random_true_state("fixed", bloch=(0.8, 0.8, 0.8))
+
+    def test_fixed_mode_requires_vector(self):
+        with pytest.raises(ValueError, match="requires a Bloch vector"):
+            random_true_state("fixed")
+
+    @pytest.mark.parametrize("mode", ["bloch-ball", "hilbert-schmidt"])
+    def test_random_mode_requires_generator(self, mode):
+        with pytest.raises(ValueError, match="requires a random generator"):
+            random_true_state(mode)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown true-state mode"):

@@ -127,6 +127,20 @@ class TestBatchCommand:
                      "traces/game_0000.json", "traces/game_0005.json"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    def test_smaller_batch_removes_stale_traces(self, config_path, tmp_path):
+        out = tmp_path / "batch"
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", 5,
+                       "--emit-traces") == 0
+        for name in ("game_1.json", "game_0009.txt", "notes.txt"):
+            (out / "traces" / name).write_text("kept")
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", 2,
+                       "--emit-traces") == 0
+        names = sorted(path.name for path in (out / "traces").iterdir())
+        assert names == ["game_0000.json", "game_0001.json", "game_0009.txt",
+                         "game_1.json", "notes.txt"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["games"] == 2
+
     def test_single_game_batch_cdfs_are_point_masses(self, config_path, tmp_path):
         out = tmp_path / "one"
         run_cli("batch", "--config", config_path, "--out", out, "--n", 1)
@@ -199,6 +213,44 @@ class TestRejectedInput:
         path.write_text(json.dumps({"shots": 2**63, "c_limit": 10}))
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
         assert "shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["", ",", " , "])
+    def test_empty_steps_selection_exits_2(self, config_path, tmp_path, capsys, steps):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", config_path, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("plot-data", "--kind", "bloch-snapshots", "--in", out / "result.json",
+                       "--out", tmp_path / "x.csv", "--steps", steps) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --steps: expected comma-separated integers, got {steps!r}\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_environment_seed_named(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        monkeypatch.setenv("QGAN_SIM_SEED", "-5")
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "config error: QGAN_SIM_SEED: expected a non-negative integer, got '-5'\n"
+        )
+
+    @pytest.mark.parametrize("command", [("run",), ("batch", "--n", "2")])
+    def test_negative_seed_flag_named(self, config_path, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*command, "--config", config_path, "--out", tmp_path / "o", "--seed", "-3")
+        assert err.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got '-3'" in (
+            capsys.readouterr().err
+        )
+
+    def test_negative_config_seed_named(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": -2}))
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "config error: config: seed must be non-negative, got -2\n"
+        )
 
     def test_cdf_of_json_array_exits_2(self, tmp_path, capsys):
         path = tmp_path / "array.json"

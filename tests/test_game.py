@@ -53,6 +53,18 @@ class TestGameConfig:
             GameConfig(fd_delta_r=0.7)
         with pytest.raises(ValueError, match="per_turn_cap"):
             GameConfig(per_turn_cap=0)
+        with pytest.raises(ValueError, match="fd_delta_angle"):
+            GameConfig(fd_delta_angle=0.0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            GameConfig(learning_rate=-0.2)
+        with pytest.raises(ValueError, match="r_rate_scale"):
+            GameConfig(r_rate_scale=0.0)
+        with pytest.raises(ValueError, match="c_limit"):
+            GameConfig(c_limit=0)
+        with pytest.raises(ValueError, match="stall_tol"):
+            GameConfig(stall_tol=0.0)
+        with pytest.raises(ValueError, match="g_threshold_floor"):
+            GameConfig(g_threshold_floor=-0.01)
 
     def test_defaults_pin_protocol_values(self):
         cfg = GameConfig()

@@ -211,6 +211,11 @@ class TestSeedResolution:
         with pytest.raises(ConfigError, match="QGAN_SIM_SEED"):
             resolve_seed(None, None, {"QGAN_SIM_SEED": "many"})
 
+    def test_negative_environment_value(self):
+        with pytest.raises(ConfigError) as err:
+            resolve_seed(None, None, {"QGAN_SIM_SEED": "-5"})
+        assert str(err.value) == "QGAN_SIM_SEED: expected a non-negative integer, got '-5'"
+
 
 class TestSigmaSpec:
     def test_resolve_modes(self):
@@ -242,6 +247,47 @@ class TestTraceRoundTrip:
         doc["schema"] = "something/else"
         with pytest.raises(ValueError, match="schema"):
             trace_from_doc(doc)
+
+
+class TestDocumentWriter:
+    """Documents hold only JSON values: each equals its own reparse."""
+
+    SIGMAS = [
+        {"mode": "pure-ground"},
+        {"mode": "bloch-ball"},
+        {"mode": "fixed", "bloch": [0.3, -0.2, 0.5]},
+        {"mode": "hilbert-schmidt"},
+    ]
+    MODES = [{"exact_mode": True}, {"shots": 300}]
+
+    @pytest.mark.parametrize("sigma", SIGMAS, ids=lambda s: s["mode"])
+    @pytest.mark.parametrize("mode", MODES, ids=["exact", "shot"])
+    def test_documents_equal_their_reparse(self, sigma, mode):
+        spec = load_experiment({"sigma": sigma, "c_limit": 40, "seed": 6, **mode})
+        traces = run_batch(spec, 2)
+        for trace in traces:
+            doc = trace_to_doc(trace)
+            assert doc == json.loads(json.dumps(doc))
+            assert trace_from_doc(doc) == trace
+        doc = summary_to_doc(summarize_batch(traces, spec))
+        assert doc == json.loads(json.dumps(doc))
+
+    def test_fields_in_document_order(self):
+        doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
+        assert list(doc) == ["schema", "config", "sigma", "termination", "c_step_total",
+                             "final_fidelity", "steps"]
+        assert list(doc["sigma"]) == ["matrix", "bloch"]
+        assert list(doc["steps"][0]) == ["step_index", "round_index", "turn", "params_after",
+                                         "estimate", "fidelity_ideal"]
+        assert list(doc["steps"][0]["estimate"]) == ["p_rho_hat", "p_sigma_hat", "d_hat", "shots"]
+
+    def test_sigma_bloch_read_once_per_trace(self, monkeypatch):
+        trace = run_experiment(fast_spec(seed=4))
+        calls = []
+        to_bloch = DensityMatrix.to_bloch
+        monkeypatch.setattr(DensityMatrix, "to_bloch", lambda self: calls.append(1) or to_bloch(self))
+        trace_to_doc(trace)
+        assert len(calls) == 1
 
 
 class TestBatch:
@@ -291,6 +337,10 @@ class TestBatch:
             run_batch(fast_spec(), 0)
         with pytest.raises(ValueError):
             run_batch(fast_spec(), 3, jobs=0)
+
+    def test_summarize_nothing_rejected(self):
+        with pytest.raises(ValueError, match="no traces"):
+            summarize_batch([], fast_spec())
 
     def test_summary_statistics(self):
         spec = fast_spec(seed=100)

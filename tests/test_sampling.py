@@ -80,6 +80,11 @@ class TestOutcomeEstimate:
         with pytest.raises(ValueError, match="shots"):
             OutcomeEstimate(0.5, 0.5, 0.0, 0)
 
+    @pytest.mark.parametrize("p_rho, p_sigma", [(1.5, 0.5), (0.5, -0.25)])
+    def test_rejects_frequency_outside_unit_interval(self, p_rho, p_sigma):
+        with pytest.raises(ValueError, match="frequencies"):
+            OutcomeEstimate(p_rho, p_sigma, p_rho - p_sigma, 100)
+
     def test_exact_mode_sentinel(self):
         est = OutcomeEstimate(0.5, 0.25, 0.25, None)
         assert est.shots is None
