@@ -226,14 +226,22 @@ class TestRejectedInput:
         )
         assert not (tmp_path / "x.csv").exists()
 
-    def test_negative_environment_seed_named(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "config, env, message",
+        [
+            ({}, "-5", "QGAN_SIM_SEED: expected a non-negative integer, got '-5'"),
+            ({"seed": -2}, None, "config: seed must be non-negative, got -2"),
+        ],
+        ids=["environment", "config"],
+    )
+    def test_negative_seed_named_by_source(self, tmp_path, capsys, monkeypatch, config, env,
+                                           message):
         path = tmp_path / "config.json"
-        path.write_text("{}")
-        monkeypatch.setenv("QGAN_SIM_SEED", "-5")
+        path.write_text(json.dumps(config))
+        if env is not None:
+            monkeypatch.setenv("QGAN_SIM_SEED", env)
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
-        assert capsys.readouterr().err == (
-            "config error: QGAN_SIM_SEED: expected a non-negative integer, got '-5'\n"
-        )
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", [("run",), ("batch", "--n", "2")])
     def test_negative_seed_flag_named(self, config_path, tmp_path, capsys, command):
@@ -242,14 +250,6 @@ class TestRejectedInput:
         assert err.value.code == 2
         assert "argument --seed: expected a non-negative integer, got '-3'" in (
             capsys.readouterr().err
-        )
-
-    def test_negative_config_seed_named(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"seed": -2}))
-        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
-        assert capsys.readouterr().err == (
-            "config error: config: seed must be non-negative, got -2\n"
         )
 
     def test_cdf_of_json_array_exits_2(self, tmp_path, capsys):

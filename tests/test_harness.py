@@ -272,15 +272,6 @@ class TestDocumentWriter:
         doc = summary_to_doc(summarize_batch(traces, spec))
         assert doc == json.loads(json.dumps(doc))
 
-    def test_fields_in_document_order(self):
-        doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
-        assert list(doc) == ["schema", "config", "sigma", "termination", "c_step_total",
-                             "final_fidelity", "steps"]
-        assert list(doc["sigma"]) == ["matrix", "bloch"]
-        assert list(doc["steps"][0]) == ["step_index", "round_index", "turn", "params_after",
-                                         "estimate", "fidelity_ideal"]
-        assert list(doc["steps"][0]["estimate"]) == ["p_rho_hat", "p_sigma_hat", "d_hat", "shots"]
-
     def test_sigma_bloch_read_once_per_trace(self, monkeypatch):
         trace = run_experiment(fast_spec(seed=4))
         calls = []
