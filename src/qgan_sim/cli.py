@@ -50,7 +50,7 @@ def cmd_batch(args) -> int:
         # Traces left by an earlier, larger batch would outlive its summary.
         for path in traces_dir.glob("game_*.json"):
             index = path.name[len("game_"):-len(".json")]
-            if index.isdecimal() and int(index) >= args.n:
+            if index.isdecimal() and int(index) >= args.n and path.is_file():
                 path.unlink()
     print(
         f"games={summary.games} mean_c_step={summary.mean_c_step:.2f} "

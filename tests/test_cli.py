@@ -133,11 +133,12 @@ class TestBatchCommand:
                        "--emit-traces") == 0
         for name in ("game_1.json", "game_0009.txt", "notes.txt"):
             (out / "traces" / name).write_text("kept")
+        (out / "traces" / "game_0008.json").mkdir()
         assert run_cli("batch", "--config", config_path, "--out", out, "--n", 2,
                        "--emit-traces") == 0
         names = sorted(path.name for path in (out / "traces").iterdir())
-        assert names == ["game_0000.json", "game_0001.json", "game_0009.txt",
-                         "game_1.json", "notes.txt"]
+        assert names == ["game_0000.json", "game_0001.json", "game_0008.json",
+                         "game_0009.txt", "game_1.json", "notes.txt"]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["games"] == 2
 
