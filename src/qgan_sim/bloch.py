@@ -143,12 +143,14 @@ class DensityMatrix:
     Hermiticity is enforced exactly by construction (the off-diagonal pair
     is symmetrized), the trace must equal 1 within 1e-12 and both
     eigenvalues must be >= -1e-12.  Only the entries ``(m00, m01, m11)`` are
-    stored; ``m10`` is the conjugate of ``m01``.  ``_measured`` is a memo
-    slot for the estimator (the state's Bloch vector after a given noise
-    channel); it takes no part in equality.
+    stored; ``m10`` is the conjugate of ``m01``.  ``_measured``, ``_axis``
+    and ``_generated`` are memo slots for the estimator (the state's Bloch
+    vector after a given noise channel, and the last measurement axis and
+    generated state it read out against this state); they take no part in
+    equality and are left out of a pickle.
     """
 
-    __slots__ = ("_entries", "_bloch", "_measured")
+    __slots__ = ("_entries", "_bloch", "_measured", "_axis", "_generated")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
@@ -173,7 +175,7 @@ class DensityMatrix:
         # scalars would ride into every estimate at several times the cost.
         m00, m01, m11 = float(m00), complex(m01), float(m11)
         self._entries = (m00, m01, m11)
-        self._measured = None
+        self._forget()
         m10 = m01.conjugate()
         x = 2.0 * m10.real
         y = 2.0 * m10.imag
@@ -184,6 +186,16 @@ class DensityMatrix:
             s = 1.0 / math.sqrt(nsq)
             x, y, z = x * s, y * s, z * s
         self._bloch = BlochVector(x, y, z)
+
+    def _forget(self) -> None:
+        self._measured = self._axis = self._generated = None
+
+    def __getstate__(self) -> tuple:
+        return self._entries, self._bloch
+
+    def __setstate__(self, state: tuple) -> None:
+        self._entries, self._bloch = state
+        self._forget()
 
     @classmethod
     def from_bloch(cls, v: BlochVector) -> "DensityMatrix":

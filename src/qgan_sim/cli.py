@@ -88,13 +88,22 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
-def _seed(raw: str) -> int:
-    try:
-        if int(raw) >= 0:
-            return int(raw)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+def _integer(low: int, kind: str):
+    """An argparse type accepting integers >= ``low``; a rejection names the flag."""
+
+    def parse(raw: str) -> int:
+        try:
+            if int(raw) >= low:
+                return int(raw)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {raw!r}")
+
+    return parse
+
+
+_seed = _integer(0, "non-negative")
+_count = _integer(1, "positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--config", required=True, help="JSON config file")
     batch.add_argument("--out", required=True, help="output directory")
     batch.add_argument("--seed", type=_seed, default=None, help="seed override")
-    batch.add_argument("--n", type=int, required=True, help="number of games")
-    batch.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    batch.add_argument("--n", type=_count, required=True, help="number of games")
+    batch.add_argument("--jobs", type=_count, default=1, help="parallel workers")
     batch.add_argument(
         "--emit-traces", action="store_true", help="also write per-game result JSONs"
     )

@@ -1,6 +1,7 @@
 """State and measurement algebra against explicit matrix oracles."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qgan_sim import (
     DensityMatrix,
     GeneratorParams,
     MeasurementParams,
+    NoiseSettings,
+    estimate_d,
     fidelity,
     measurement_axis,
     optimal_axis,
@@ -113,6 +116,18 @@ class TestDensityMatrix:
         assert [type(e) for e in rho._entries] == [float, complex, float]
         assert [type(c) for c in (v.x, v.y, v.z)] == [float, float, float]
         assert rho == plain and hash(rho) == hash(plain)
+
+    def test_pickle_leaves_the_estimator_memos_behind(self):
+        # A --jobs worker sends every trace's sigma back by pickle; the memos
+        # (and the NoiseSettings object keying them) must not travel with it.
+        sigma = DensityMatrix.from_bloch(BlochVector(0.3, -0.2, 0.5))
+        estimate_d((0.4, 1.1, 2.3), (0.7, 0.2), sigma, None, NoiseSettings(0.1, 0.2))
+        assert None not in (sigma._measured, sigma._axis, sigma._generated)
+        back = pickle.loads(pickle.dumps(sigma))
+        assert back == sigma
+        assert back._entries == sigma._entries and back.to_bloch() == sigma.to_bloch()
+        assert (back._measured, back._axis, back._generated) == (None, None, None)
+        assert b"NoiseSettings" not in pickle.dumps(sigma)
 
 
 class TestStateBloch:

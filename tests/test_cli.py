@@ -253,6 +253,20 @@ class TestRejectedInput:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("flag, raw", [("--n", "0"), ("--jobs", "0"), ("--n", "-2"),
+                                           ("--jobs", "two")])
+    def test_non_positive_count_flag_named(self, config_path, tmp_path, capsys, flag, raw):
+        counts = {"--n": "3", "--jobs": "1", flag: raw}
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            run_cli("batch", "--config", config_path, "--out", out,
+                    *(arg for pair in counts.items() for arg in pair))
+        assert err.value.code == 2
+        assert f"argument {flag}: expected a positive integer, got {raw!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_cdf_of_json_array_exits_2(self, tmp_path, capsys):
         path = tmp_path / "array.json"
         path.write_text("[1, 2, 3]")

@@ -11,6 +11,7 @@ game records is a plain Python number, whichever way its true state was
 drawn.
 """
 
+import copy
 import math
 from dataclasses import fields, is_dataclass
 
@@ -150,6 +151,57 @@ def test_branchwise_draw_order(p, v, noise, n, seed):
     assert est.p_rho_hat == float(hits) / n
     assert est.p_sigma_hat == float(twin.binomial(n, p_sigma)) / n
     assert est.d_hat == est.p_rho_hat - est.p_sigma_hat
+    assert rng.random() == twin.random()
+
+
+@st.composite
+def call_sequences(draw):
+    """Estimator calls as a game makes them: turns in which one side keeps
+    its very objects while the other moves.  A move may also put in an
+    equal-valued but distinct float, or flip a zero's sign, and the noise
+    object is swapped (perhaps for an equal copy) partway through."""
+    values = draw(params())
+    sides = {"G": list(values[:3]), "D": list(values[3:])}
+    first = draw(noises)
+    second = draw(noises | st.just(copy.copy(first)))
+    swap = draw(st.integers(0, 16))
+    calls = []
+
+    def call():
+        noise = first if len(calls) < swap else second
+        calls.append((tuple(sides["G"]), tuple(sides["D"]), noise))
+
+    for turn in draw(st.lists(st.sampled_from("GD"), min_size=1, max_size=4)):
+        side = sides[turn]
+        for _ in range(draw(st.integers(1, 5))):
+            i = draw(st.integers(0, len(side) - 1))
+            how = draw(st.sampled_from(("keep", "move", "copy", "zero")))
+            if how == "move":
+                side[i] = draw(unit if turn == "G" and i == 0 else angles)
+            elif how == "copy":
+                side[i] = float(repr(side[i]))
+            elif how == "zero":  # 0.0 in one call, -0.0 in the next
+                side[i] = 0.0
+                call()
+                side[i] = -0.0
+            call()
+    return calls
+
+
+@PROPERTY_SETTINGS
+@given(calls=call_sequences(), v=bloch_vectors(), n=st.none() | shots, seed=seeds,
+       branchwise=st.booleans())
+def test_reused_sigma_reads_out_as_a_fresh_one(calls, v, n, seed, branchwise):
+    # The estimator keeps each side of the read-out on sigma between calls;
+    # a reused state must give what a fresh state (no memo) gives, bit for bit.
+    matrix = density(v)
+    sigma = DensityMatrix(matrix)
+    rng = np.random.default_rng(seed)
+    twin = np.random.default_rng(seed)
+    for gen, meas, noise in calls:
+        kept = estimate_d(gen, meas, sigma, n, noise, rng, branchwise)
+        fresh = estimate_d(gen, meas, DensityMatrix(matrix), n, noise, twin, branchwise)
+        assert repr(kept) == repr(fresh)
     assert rng.random() == twin.random()
 
 

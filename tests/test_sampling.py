@@ -1,6 +1,8 @@
 """Shot statistics: binomial frequencies and the d estimator."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -240,6 +242,41 @@ class TestEstimateD:
             assert estimate_d(gen, meas, sigma, None, noise) == estimate_d(
                 gen, meas, fresh, None, noise
             )
+
+    @pytest.mark.parametrize("shots", [None, 700], ids=["exact", "shot"])
+    def test_kernel_estimate_equals_the_public_build(self, shots):
+        # The kernel builds its estimate without __post_init__; it must be
+        # the estimate the checked constructor builds from the same values.
+        sigma = DensityMatrix.from_bloch(BlochVector(0.1, -0.4, 0.2))
+        est = estimate_d((0.37, 1.2, 0.4), (0.9, 2.2), sigma, shots,
+                         rng=np.random.default_rng(4))
+        public = OutcomeEstimate(est.p_rho_hat, est.p_sigma_hat, est.d_hat, est.shots)
+        assert est == public and hash(est) == hash(public) and repr(est) == repr(public)
+        assert vars(est) == vars(public) and list(vars(est)) == list(vars(public))
+        assert dataclasses.replace(est) == est
+        assert pickle.loads(pickle.dumps(est)) == est
+        with pytest.raises(ValueError, match="d_hat must equal"):
+            dataclasses.replace(est, d_hat=est.d_hat + 0.25)
+
+    def test_bad_input_after_a_memo_hit_raises_unchanged(self):
+        # A valid call keeps both sides on sigma; a bad value arriving
+        # beside a kept side still gets the message a fresh state gives.
+        sigma = DensityMatrix.pure_ground()
+        r, theta, phi, beta, gamma = 0.6, 0.3, 1.1, 0.8, 2.0
+        cases = [
+            ((1.5, theta, phi), (beta, gamma), "r must be in [0, 1], got 1.5"),
+            ((math.nan, math.nan, phi), (beta, gamma), "r must be in [0, 1], got nan"),
+            ((r, math.inf, phi), (beta, gamma), "theta, phi, beta and gamma must be finite"),
+            ((r, theta, phi), (math.nan, gamma), "theta, phi, beta and gamma must be finite"),
+            ((r, theta, phi), (beta, -math.inf), "theta, phi, beta and gamma must be finite"),
+        ]
+        for gen, meas, message in cases:
+            estimate_d((r, theta, phi), (beta, gamma), sigma, None)
+            assert sigma._generated[:3] == (r, theta, phi) and sigma._axis[:2] == (beta, gamma)
+            for state in (sigma, DensityMatrix.pure_ground()):
+                with pytest.raises(ValueError) as err:
+                    estimate_d(gen, meas, state, None)
+                assert str(err.value) == message
 
     def test_branchwise_marginal_statistics(self):
         # Branch-then-outcome sampling must stay Binomial(n, p_rho) overall.
