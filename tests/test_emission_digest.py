@@ -1,8 +1,12 @@
 """Byte-identity guard for every file the CLI writes.
 
-Each subcommand runs on one fixed short config and every file it writes is
-hashed with SHA-256.  The digests below were recorded from the harness that
-still kept hand-written field tables and two file writers; a refactor that
+Each subcommand runs on a fixed short config and every file it writes is
+hashed with SHA-256.  ``DIGESTS`` were recorded from the harness that still
+kept hand-written field tables and two file writers.  ``KNOB_DIGESTS`` pin
+the loop paths the default config leaves alone (one step per iteration,
+branchwise draws, generated-only noise, a Hilbert-Schmidt sigma, a binding
+per-turn cap and a two-step stall window); they were recorded from the play
+loop that still dispatched on the turn inside its body.  A refactor that
 alters any emitted byte fails here.  Re-record them only for a change that
 alters the output on purpose and says so.
 """
@@ -22,6 +26,19 @@ CONFIG = {
     "seed": 0,
 }
 
+KNOBS = {
+    "shots": 200,
+    "c_limit": 40,
+    "count_per_partial": False,
+    "branchwise": True,
+    "per_turn_cap": 3,
+    "stall_window": 2,
+    "sigma": {"mode": "hilbert-schmidt"},
+    "noise": {"depolarizing_eps": 0.08, "amplitude_damping_gamma": 0.08,
+              "apply_to": "generated-only"},
+    "seed": 0,
+}
+
 DIGESTS = {
     "batch/cdf_c_step.csv": "42b4da83a7cdb8d1e5df4c945172f447a7481c4629d7622bb065825cfbf19660",
     "batch/cdf_fidelity.csv": "c1ef0ca9bd1b9e120ab9ec34c978288d4af4455fa1d206154de959743b479bf3",
@@ -37,6 +54,21 @@ DIGESTS = {
 }
 
 
+KNOB_DIGESTS = {
+    "batch/cdf_c_step.csv": "03be85418f2e72782fe02b967a8b2abe4768685fd778c0bf0ca3e2af6bb9a4d2",
+    "batch/cdf_fidelity.csv": "285385e0527e8a61089474cddc7bd78e1b11978046a62ec30011089b8f16fd8b",
+    "batch/summary.json": "dcd8836ed102cd5268c3697b307bd2723ecbcfad70f82503c8293cf217fa6390",
+    "batch/traces/game_0000.json": "85c12b8723bc330390e15d16fdea23a3c04165f470abbb814b748172fa6f7fde",
+    "batch/traces/game_0001.json": "355b85b6e8b06b97d688c96e587e0e81e8cbe98b0dec4fc3333b7f6ec840f975",
+    "batch/traces/game_0002.json": "eda1dd89039b9242bd9b6dc917fb3cb78d324280ebd4e4869b0bdad0be8ba011",
+    "plot/bloch-snapshots.csv": "993deebdfd2ab533106861a3a0a54a0bd63164e9a96f704920e40e3ec0fb55a4",
+    "plot/cdf.csv": "285385e0527e8a61089474cddc7bd78e1b11978046a62ec30011089b8f16fd8b",
+    "plot/tracking.csv": "f061f7b72281c6b6be28e06f6ec0a13eacc6789a7697b9a361d366e5ad0235ac",
+    "run/result.json": "85c12b8723bc330390e15d16fdea23a3c04165f470abbb814b748172fa6f7fde",
+    "run/trajectory.csv": "2b8cbbbeaf63bb4c0fbd99c4fbfcb4ea1d4af8ea484f034d85f904a4b0c34148",
+}
+
+
 def _digests(root):
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -45,11 +77,9 @@ def _digests(root):
     }
 
 
-@pytest.fixture(scope="module")
-def emitted(tmp_path_factory):
-    root = tmp_path_factory.mktemp("emission")
+def _emit(root, doc):
     config = root / "config.json"
-    config.write_text(json.dumps(CONFIG))
+    config.write_text(json.dumps(doc))
     out = root / "out"
     run, batch, plots = out / "run", out / "batch", out / "plot"
     assert main(["run", "--config", str(config), "--out", str(run)]) == 0
@@ -64,5 +94,14 @@ def emitted(tmp_path_factory):
     return _digests(out)
 
 
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    return _emit(tmp_path_factory.mktemp("emission"), CONFIG)
+
+
 def test_emitted_files_match_recorded_digests(emitted):
     assert emitted == DIGESTS
+
+
+def test_knob_config_files_match_recorded_digests(tmp_path):
+    assert _emit(tmp_path, KNOBS) == KNOB_DIGESTS
