@@ -143,14 +143,14 @@ class DensityMatrix:
     Hermiticity is enforced exactly by construction (the off-diagonal pair
     is symmetrized), the trace must equal 1 within 1e-12 and both
     eigenvalues must be >= -1e-12.  Only the entries ``(m00, m01, m11)`` are
-    stored; ``m10`` is the conjugate of ``m01``.  ``_measured``, ``_axis``
-    and ``_generated`` are memo slots for the estimator (the state's Bloch
-    vector after a given noise channel, and the last measurement axis and
+    stored; ``m10`` is the conjugate of ``m01``.  ``_axis`` and
+    ``_generated`` are memo slots for the estimator (the last measurement
+    axis, with this state's Bloch vector after the channel, and the last
     generated state it read out against this state); they take no part in
     equality and are left out of a pickle.
     """
 
-    __slots__ = ("_entries", "_bloch", "_measured", "_axis", "_generated")
+    __slots__ = ("_entries", "_bloch", "_axis", "_generated")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
@@ -188,7 +188,7 @@ class DensityMatrix:
         self._bloch = BlochVector(x, y, z)
 
     def _forget(self) -> None:
-        self._measured = self._axis = self._generated = None
+        self._axis = self._generated = None
 
     def __getstate__(self) -> tuple:
         return self._entries, self._bloch

@@ -6,7 +6,6 @@ Exit codes: 0 on success, 2 on config/usage errors, 3 on I/O failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -73,8 +72,7 @@ def _parse_steps(raw: str | None) -> list[int] | None:
 
 
 def cmd_plot_data(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = harness.read_json(args.infile, "--in")
     if args.kind in ("tracking", "bloch-snapshots"):
         trace = harness.trace_from_doc(doc)
         if args.kind == "tracking":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Literal, get_args
 
 import numpy as np
@@ -65,8 +66,7 @@ TERMINATION_EQUILIBRIUM, TERMINATION_BUDGET = get_args(Termination)
 # The game loop carries both strategies as one flat tuple in this order;
 # each player varies its own slice of it.
 PARAM_NAMES = ("r", "theta", "phi", "beta", "gamma")
-_G_ACTIVE = (0, 1, 2)
-_D_ACTIVE = (3, 4)
+_ACTIVE = {D_TURN: (3, 4), G_TURN: (0, 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -166,31 +166,17 @@ class GameTrace:
     steps: list[StepRecord]
 
 
-def _measure(
-    p: tuple, sigma: DensityMatrix, config: GameConfig, rng: np.random.Generator
-) -> OutcomeEstimate:
-    return estimate_d(
-        p[:3], p[3:], sigma, None if config.exact_mode else config.shots,
-        config.noise, rng, config.branchwise,
-    )
-
-
-def _shifted(p: tuple, i: int, delta: float) -> tuple:
-    return p[:i] + (p[i] + delta,) + p[i + 1:]
-
-
 def _partial(
     i: int, p: tuple, sigma: DensityMatrix, config: GameConfig, rng: np.random.Generator
 ) -> float:
     # finite_diff_gradient along p[i] of the flat parameter tuple.
-    # Both estimates call estimate_d directly, as _measure would, which
-    # saves a call per estimate.  The offset flips backward for r at 1.
+    # The offset flips backward for r at 1.
     delta = config.fd_delta_r if i == 0 else config.fd_delta_angle
     backward = i == 0 and p[0] + delta > 1.0
     shots = None if config.exact_mode else config.shots
     noise, branchwise = config.noise, config.branchwise
     base = estimate_d(p[:3], p[3:], sigma, shots, noise, rng, branchwise).d_hat
-    q = _shifted(p, i, -delta if backward else delta)
+    q = p[:i] + (p[i] + (-delta if backward else delta),) + p[i + 1:]
     other = estimate_d(q[:3], q[3:], sigma, shots, noise, rng, branchwise).d_hat
     return (base - other) / delta if backward else (other - base) / delta
 
@@ -211,31 +197,6 @@ def finite_diff_gradient(
     if param not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {param!r}")
     return _partial(PARAM_NAMES.index(param), (*gen, *meas), sigma, config, rng)
-
-
-def _step_deltas(turn: str, grads: list[float], config: GameConfig) -> list[float]:
-    # D ascends along the normalized gradient: a fixed step length keeps the
-    # axis re-aligning even when |grad| ~ trace distance is small, so its
-    # turn genuinely ends near the trace-distance optimum.  G descends along
-    # the plain gradient: its step then shrinks with the remaining signal,
-    # which keeps the threshold crossing from overshooting.
-    if turn == D_TURN:
-        norm = math.hypot(*grads)
-        if norm == 0.0:
-            return [0.0] * len(grads)
-        return [config.learning_rate * g / norm for g in grads]
-    return [-config.learning_rate * g for g in grads]
-
-
-def _apply_update(p: tuple, active: tuple[int, ...], deltas: list[float],
-                  config: GameConfig) -> tuple:
-    q = list(p)
-    for i, delta in zip(active, deltas):
-        if i == 0:
-            q[0] = min(max(q[0] + config.r_rate_scale * delta, 0.0), 1.0)
-        else:
-            q[i] += delta
-    return tuple(q)
 
 
 def run_turn(
@@ -265,55 +226,63 @@ def run_turn(
     the estimate describing the returned strategy (D: its best; G: its
     last, or ``entering`` for a skipped turn).
     """
-    if turn not in (D_TURN, G_TURN):
+    if turn not in _ACTIVE:
         raise ValueError(f"turn must be {D_TURN!r} or {G_TURN!r}, got {turn!r}")
-    records: list[StepRecord] = []
-    c = c_start
-    if turn == G_TURN:
+    # The player is resolved once.  D ascends along the normalized gradient:
+    # a fixed step length keeps the axis re-aligning even when |grad| ~ trace
+    # distance is small, so its turn genuinely ends near the trace-distance
+    # optimum.  G descends along the plain gradient: its step then shrinks
+    # with the remaining signal, which keeps the threshold crossing from
+    # overshooting.
+    ascend = turn == D_TURN
+    threshold = config.g_threshold(round_index)
+    if not ascend:
         if entering is None:
             raise ValueError("the generator turn requires the entering estimate")
-        if entering.d_hat < config.g_threshold(round_index):
-            return gen, meas, records, c, entering
-    active = _G_ACTIVE if turn == G_TURN else _D_ACTIVE
+        if entering.d_hat < threshold:
+            return gen, meas, [], c_start, entering
+    active = _ACTIVE[turn]
+    rate = config.learning_rate if ascend else -config.learning_rate
+    per_step = len(active) if config.count_per_partial else 1
+    shots = None if config.exact_mode else config.shots
     p = (*gen, *meas)
     # The generator stands still in D's turn, and so does its ideal fidelity.
-    fid = generated_fidelity(sigma, p[0], p[1], p[2]) if turn == D_TURN else None
-    d_seen: list[float] = []
-    best: tuple[float, tuple, OutcomeEstimate] | None = None
+    fid = generated_fidelity(sigma, p[0], p[1], p[2]) if ascend else None
+    records: list[StepRecord] = []
+    c = c_start
     while c - c_start < config.per_turn_cap:
         grads = [_partial(i, p, sigma, config, rng) for i in active]
-        p = _apply_update(p, active, _step_deltas(turn, grads, config), config)
-        c += len(active) if config.count_per_partial else 1
-        est = _measure(p, sigma, config, rng)
-        if turn == G_TURN:
-            fid = generated_fidelity(sigma, p[0], p[1], p[2])
-        records.append(
-            StepRecord(
-                step_index=c,
-                round_index=round_index,
-                turn=turn,
-                params_after=p,
-                estimate=est,
-                fidelity_ideal=fid,
-            )
-        )
-        d_seen.append(est.d_hat)
-        if turn == D_TURN:
-            if best is None or est.d_hat > best[0]:
-                best = (est.d_hat, p[3:], est)
-            if len(d_seen) >= config.stall_window:
-                window = d_seen[-config.stall_window:]
-                if max(window) - min(window) < config.stall_tol:
-                    break
+        if ascend:
+            norm = math.hypot(*grads)
+            deltas = [rate * g / norm if norm else 0.0 for g in grads]
         else:
-            if est.d_hat < config.g_threshold(round_index):
+            deltas = [rate * g for g in grads]
+        q = list(p)
+        for i, delta in zip(active, deltas):
+            if i == 0:
+                q[0] = min(max(q[0] + config.r_rate_scale * delta, 0.0), 1.0)
+            else:
+                q[i] += delta
+        p = tuple(q)
+        c += per_step
+        est = estimate_d(p[:3], p[3:], sigma, shots, config.noise, rng, config.branchwise)
+        if not ascend:
+            fid = generated_fidelity(sigma, p[0], p[1], p[2])
+        records.append(StepRecord(step_index=c, round_index=round_index, turn=turn,
+                                  params_after=p, estimate=est, fidelity_ideal=fid))
+        if ascend:
+            seen = [rec.estimate.d_hat for rec in records[-config.stall_window:]]
+            if len(seen) == config.stall_window and max(seen) - min(seen) < config.stall_tol:
                 break
-    if turn == D_TURN and best is not None:
-        # The maximizing player keeps the best strategy it measured, not
-        # wherever the stall left it; the re-measurement at that axis is
+        elif est.d_hat < threshold:
+            break
+    if ascend:
+        # The maximizing player keeps the first best strategy it measured,
+        # not wherever the stall left it; the re-measurement at that axis is
         # reused, so the shot accounting is unchanged.
-        return gen, MeasurementParams(*best[1]), records, c, best[2]
-    return GeneratorParams(*p[:3]), meas, records, c, records[-1].estimate
+        kept = max(records, key=lambda rec: rec.estimate.d_hat)
+        return gen, MeasurementParams(*kept.params_after[3:]), records, c, kept.estimate
+    return GeneratorParams(*p[:3]), meas, records, c, est
 
 
 def run_game(
@@ -331,35 +300,22 @@ def run_game(
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if initial is None:
-        gen, meas = random_initial_params(rng)
-    else:
-        gen, meas = initial
+    gen, meas = random_initial_params(rng) if initial is None else initial
     steps: list[StepRecord] = []
     termination = TERMINATION_BUDGET
     last: OutcomeEstimate | None = None
     c = 0
-    round_index = 0
-    while True:
-        round_index += 1
+    for round_index, turn in ((k, t) for k in count(1) for t in (D_TURN, G_TURN)):
         gen, meas, recs, c, last = run_turn(
-            D_TURN, round_index, gen, meas, sigma, config, rng,
-            entering=last, c_start=c,
+            turn, round_index, gen, meas, sigma, config, rng, entering=last, c_start=c,
         )
         steps.extend(recs)
         # D's turn hands back its best measured strategy; equilibrium is
         # judged on that optimized d, so shot noise cannot fake convergence
         # with one low sample.
-        if last.d_hat < config.d_bound:
+        if turn == D_TURN and last.d_hat < config.d_bound:
             termination = TERMINATION_EQUILIBRIUM
             break
-        if c >= config.c_limit:
-            break
-        gen, meas, recs, c, last = run_turn(
-            G_TURN, round_index, gen, meas, sigma, config, rng,
-            entering=last, c_start=c,
-        )
-        steps.extend(recs)
         if c >= config.c_limit:
             break
     return GameTrace(
@@ -389,8 +345,4 @@ def shots_consumed(trace: GameTrace) -> int:
     if trace.config.exact_mode:
         return 0
     n = trace.config.shots
-    total = 0
-    for rec in trace.steps:
-        varied = len(_G_ACTIVE) if rec.turn == G_TURN else len(_D_ACTIVE)
-        total += (2 * varied + 1) * 2 * n
-    return total
+    return sum((2 * len(_ACTIVE[rec.turn]) + 1) * 2 * n for rec in trace.steps)

@@ -259,13 +259,18 @@ def load_experiment(doc: dict, seed_override: int | None = None, env=os.environ)
     return ExperimentSpec(game=_build("config", GameConfig, **kwargs), **blocks)
 
 
-def load_experiment_file(path: str | Path, seed_override: int | None = None) -> ExperimentSpec:
+def read_json(path: str | Path, where: str):
+    """The document in JSON file ``path``; invalid JSON, or bytes that are
+    not UTF-8, is a ConfigError naming ``where`` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
-    return load_experiment(doc, seed_override=seed_override)
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(where, f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_experiment_file(path: str | Path, seed_override: int | None = None) -> ExperimentSpec:
+    return load_experiment(read_json(path, "config"), seed_override=seed_override)
 
 
 def run_experiment(spec: ExperimentSpec) -> GameTrace:
@@ -412,8 +417,8 @@ def _unit_interval(where: str, value: float) -> None:
 def trace_from_doc(doc: dict) -> GameTrace:
     body = _body("result", RESULT_SCHEMA, doc)
     trace = GameTrace(**_fields("", body, _TRACE_KINDS, required=_TRACE_KINDS))
-    # What the game loop cannot write: a fidelity outside [0, 1], or a step
-    # index that does not rise (snapshots look steps up by their index).
+    # What the game loop cannot write: an r or a fidelity outside [0, 1], or
+    # a step index that does not rise (snapshots look steps up by their index).
     previous = None
     for i, rec in enumerate(trace.steps):
         if previous is not None and rec.step_index <= previous:
@@ -422,6 +427,7 @@ def trace_from_doc(doc: dict) -> GameTrace:
                 f"expected more than the previous step's {previous}, got {rec.step_index}",
             )
         previous = rec.step_index
+        _unit_interval(f"steps[{i}].params_after[0]", rec.params_after[0])
         _unit_interval(f"steps[{i}].fidelity_ideal", rec.fidelity_ideal)
     _unit_interval("final_fidelity", trace.final_fidelity)
     return trace

@@ -76,16 +76,6 @@ def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
     return math.sqrt((p_rho * (1.0 - p_rho) + p_sigma * (1.0 - p_sigma)) / n)
 
 
-def _true_vector(sigma: DensityMatrix, noise: NoiseSettings | None) -> tuple[float, float, float]:
-    # The true state never changes within a game, so its Bloch vector after
-    # the channel is derived once per state object and kept on it.
-    memo = sigma._measured
-    if memo is None or memo[0] is not noise:
-        v = apply_noise(noise, sigma.to_bloch(), "true")
-        memo = sigma._measured = (noise, (v.x, v.y, v.z))
-    return memo[1]
-
-
 def _measured_xyz(
     noise: NoiseSettings | None, x: float, y: float, z: float
 ) -> tuple[float, float, float]:
@@ -141,11 +131,13 @@ def estimate_d(
 
     Within a turn one player's parameters stay the very same objects, so
     each side of the read-out is kept on ``sigma`` from the last call: the
-    axis with p_sigma, keyed by the ``beta``, ``gamma`` and ``noise``
-    objects, and the generated vector after the channel, keyed by ``r``,
-    ``theta``, ``phi`` and ``noise``.  A side whose objects are the ones
-    kept was checked and computed by that call, so it is reused as it is;
-    the result is bit-identical to a call on a fresh state.
+    axis with p_sigma and the true state's vector after the channel, keyed
+    by the ``beta``, ``gamma`` and ``noise`` objects, and the generated
+    vector after the channel, keyed by ``r``, ``theta``, ``phi`` and
+    ``noise``.  A side whose objects are the ones kept was checked and
+    computed by that call, so it is reused as it is, and the true vector
+    is reused whenever ``noise`` is the kept one; the result is
+    bit-identical to a call on a fresh state.
     """
     r, theta, phi = gen
     beta, gamma = meas
@@ -164,7 +156,7 @@ def estimate_d(
     ):
         raise ValueError("theta, phi, beta and gamma must be finite")
     if axis_kept:
-        _, _, _, mx, my, mz, p_sigma = axis
+        _, _, _, mx, my, mz, p_sigma, _ = axis
     else:
         mx, my, mz = axis_xyz(beta, gamma)
     if gen_kept:
@@ -172,12 +164,16 @@ def estimate_d(
     else:
         x, y, z = _measured_xyz(noise, *state_xyz(r, theta, phi))
         sigma._generated = (r, theta, phi, noise, x, y, z)
-    p_rho = _probability(mx, my, mz, x, y, z)
     if not axis_kept:
-        p_sigma = _probability(mx, my, mz, *_true_vector(sigma, noise))
-        sigma._axis = (beta, gamma, noise, mx, my, mz, p_sigma)
+        if axis is not None and axis[2] is noise:
+            true = axis[7]
+        else:  # the true state never changes, so this runs once per channel
+            v = apply_noise(noise, sigma.to_bloch(), "true")
+            true = (v.x, v.y, v.z)
+        p_sigma = _probability(mx, my, mz, *true)
+        sigma._axis = (beta, gamma, noise, mx, my, mz, p_sigma, true)
     if shots is None:
-        return _estimate(p_rho, p_sigma, None)
+        return _estimate(_probability(mx, my, mz, x, y, z), p_sigma, None)
     if rng is None:
         raise ValueError("shot-limited estimation requires a random generator")
     if shots < 1:
@@ -197,6 +193,6 @@ def estimate_d(
             hits += rng.binomial(rest, p_alt)
         p_rho_hat = float(hits) / shots
     else:
-        p_rho_hat = float(rng.binomial(shots, p_rho)) / shots
+        p_rho_hat = float(rng.binomial(shots, _probability(mx, my, mz, x, y, z))) / shots
     p_sigma_hat = float(rng.binomial(shots, p_sigma)) / shots
     return _estimate(p_rho_hat, p_sigma_hat, shots)

@@ -122,11 +122,11 @@ class TestDensityMatrix:
         # (and the NoiseSettings object keying them) must not travel with it.
         sigma = DensityMatrix.from_bloch(BlochVector(0.3, -0.2, 0.5))
         estimate_d((0.4, 1.1, 2.3), (0.7, 0.2), sigma, None, NoiseSettings(0.1, 0.2))
-        assert None not in (sigma._measured, sigma._axis, sigma._generated)
+        assert None not in (sigma._axis, sigma._generated)
         back = pickle.loads(pickle.dumps(sigma))
         assert back == sigma
         assert back._entries == sigma._entries and back.to_bloch() == sigma.to_bloch()
-        assert (back._measured, back._axis, back._generated) == (None, None, None)
+        assert (back._axis, back._generated) == (None, None)
         assert b"NoiseSettings" not in pickle.dumps(sigma)
 
 

@@ -72,10 +72,24 @@ class TestRunCommand:
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
         assert "initial.r" in capsys.readouterr().err
 
-    def test_malformed_json_exits_2(self, tmp_path):
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert f"config: invalid JSON in {path}: " in capsys.readouterr().err
+        # A truncated result document names the --in file the same way.
+        path.write_text('{"schema": ')
+        for kind in ("tracking", "bloch-snapshots", "cdf"):
+            assert run_cli("plot-data", "--kind", kind, "--in", path,
+                           "--out", tmp_path / "x.csv") == 2
+            assert capsys.readouterr().err == (
+                f"config error: --in: invalid JSON in {path}: "
+                "Expecting value: line 1 column 12 (char 11)\n"
+            )
+        path.write_bytes(b"\xff\xfe{}")
+        assert run_cli("plot-data", "--kind", "cdf", "--in", path, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err.startswith(f"config error: --in: invalid JSON in {path}: ")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_exits_3(self, tmp_path):
         assert run_cli("run", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 3
@@ -434,6 +448,26 @@ class TestRejectedInput:
                 "tracking", {("final_fidelity",): 1.5},
                 "final_fidelity: expected a number in [0, 1], got 1.5",
                 id="final_fidelity-above-one",
+            ),
+            pytest.param(
+                "tracking", {("steps", 1, "params_after", 0): 1.5},
+                "steps[1].params_after[0]: expected a number in [0, 1], got 1.5",
+                id="tracking-r-above-one",
+            ),
+            pytest.param(
+                "tracking", {("steps", 0, "params_after", 0): -0.25},
+                "steps[0].params_after[0]: expected a number in [0, 1], got -0.25",
+                id="tracking-r-negative",
+            ),
+            pytest.param(
+                "bloch-snapshots", {("steps", 1, "params_after", 0): 1.5},
+                "steps[1].params_after[0]: expected a number in [0, 1], got 1.5",
+                id="snapshots-r-above-one",
+            ),
+            pytest.param(
+                "bloch-snapshots", {("steps", 0, "params_after", 0): -0.25},
+                "steps[0].params_after[0]: expected a number in [0, 1], got -0.25",
+                id="snapshots-r-negative",
             ),
             pytest.param(
                 "bloch-snapshots", {("steps", 0, "step_index"): 2, ("steps", 1, "step_index"): 2},
