@@ -34,23 +34,23 @@ def cmd_batch(args) -> int:
     spec = _load_spec(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    traces = harness.run_batch(spec, args.n, jobs=args.jobs)
-    summary = harness.summarize_batch(traces, spec)
-    harness.write_json(harness.summary_to_doc(summary), out / "summary.json")
-    harness.write_cdf_csv(summary.cdf_c_step, out / "cdf_c_step.csv")
-    harness.write_cdf_csv(summary.cdf_fidelity, out / "cdf_fidelity.csv")
+    traces_dir = None
     if args.emit_traces:
         traces_dir = out / "traces"
         traces_dir.mkdir(exist_ok=True)
-        for k, trace in enumerate(traces):
-            harness.write_json(
-                harness.trace_to_doc(trace), traces_dir / f"game_{k:04d}.json"
-            )
+    # Each game's trace is written where it is played; the summary comes last,
+    # so a batch that fails to write a trace writes no summary.
+    outcomes = harness.run_batch(spec, args.n, jobs=args.jobs, traces_dir=traces_dir)
+    if traces_dir is not None:
         # Traces left by an earlier, larger batch would outlive its summary.
         for path in traces_dir.glob("game_*.json"):
             index = path.name[len("game_"):-len(".json")]
             if index.isdecimal() and int(index) >= args.n and path.is_file():
                 path.unlink()
+    summary = harness.summarize_batch(outcomes, spec)
+    harness.write_json(harness.summary_to_doc(summary), out / "summary.json")
+    harness.write_cdf_csv(summary.cdf_c_step, out / "cdf_c_step.csv")
+    harness.write_cdf_csv(summary.cdf_fidelity, out / "cdf_fidelity.csv")
     print(
         f"games={summary.games} mean_c_step={summary.mean_c_step:.2f} "
         f"mean_F={summary.mean_fidelity:.6f} "

@@ -37,6 +37,7 @@ from .game import (
     PARAM_NAMES,
     GameConfig,
     GameTrace,
+    Termination,
     run_game,
 )
 
@@ -48,6 +49,7 @@ __all__ = [
     "resolve_seed",
     "run_experiment",
     "run_batch",
+    "GameOutcome",
     "BatchSummary",
     "trace_to_doc",
     "trace_from_doc",
@@ -260,13 +262,16 @@ def load_experiment(doc: dict, seed_override: int | None = None, env=os.environ)
 
 
 def read_json(path: str | Path, where: str):
-    """The document in JSON file ``path``; invalid JSON, or bytes that are
-    not UTF-8, is a ConfigError naming ``where`` and the path."""
+    """The document in JSON file ``path``; invalid JSON, bytes that are not
+    UTF-8, or nesting deeper than the parser goes, is a ConfigError naming
+    ``where`` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(where, f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(where, f"JSON nested too deeply in {path}") from exc
 
 
 def load_experiment_file(path: str | Path, seed_override: int | None = None) -> ExperimentSpec:
@@ -284,23 +289,48 @@ def _indexed_spec(spec: ExperimentSpec, index: int) -> ExperimentSpec:
     return replace(spec, game=replace(spec.game, seed=spec.game.seed + index))
 
 
-def run_batch(spec: ExperimentSpec, count: int, jobs: int = 1) -> list[GameTrace]:
+@dataclass(frozen=True)
+class GameOutcome:
+    """The fields of one game that a batch summary reads: what ``run_batch``
+    returns for a game whose trace the playing process wrote itself."""
+
+    c_step_total: int
+    final_fidelity: float
+    termination: Termination
+
+
+def _play_and_write(item: tuple[ExperimentSpec, Path]) -> GameOutcome:
+    spec, path = item
+    trace = run_experiment(spec)
+    write_json(trace_to_doc(trace), path)
+    return GameOutcome(trace.c_step_total, trace.final_fidelity, trace.termination)
+
+
+def run_batch(
+    spec: ExperimentSpec, count: int, jobs: int = 1, traces_dir: str | Path | None = None
+) -> list[GameTrace] | list[GameOutcome]:
     """Play ``count`` games at seeds seed, seed+1, ..., seed+count-1.
 
     Results are ordered by game index whatever the execution order, so
     parallel runs reproduce serial ones exactly.  At most
-    ``min(jobs, count, cpu count)`` worker processes are started.
+    ``min(jobs, count, cpu count)`` worker processes are started.  With
+    ``traces_dir``, the process that plays game k writes its result document
+    to ``traces_dir/game_<kkkk>.json`` and returns only its GameOutcome.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    specs = [_indexed_spec(spec, k) for k in range(count)]
+    items = [_indexed_spec(spec, k) for k in range(count)]
+    play = run_experiment
+    if traces_dir is not None:
+        play = _play_and_write
+        items = [(s, Path(traces_dir) / f"game_{k:04d}.json") for k, s in enumerate(items)]
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers == 1:
-        return [run_experiment(s) for s in specs]
+        return [play(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, specs))
+        return list(pool.map(play, items))
 
 
 @dataclass
@@ -321,7 +351,9 @@ def _empirical_cdf(values) -> list[tuple[float, float]]:
     return [(float(v), (i + 1) / n) for i, v in enumerate(sorted(values))]
 
 
-def summarize_batch(traces: list[GameTrace], spec: ExperimentSpec) -> BatchSummary:
+def summarize_batch(
+    traces: list[GameTrace] | list[GameOutcome], spec: ExperimentSpec
+) -> BatchSummary:
     if not traces:
         raise ValueError("no traces to summarize")
     c_steps = [t.c_step_total for t in traces]

@@ -90,6 +90,14 @@ class TestRunCommand:
         assert run_cli("plot-data", "--kind", "cdf", "--in", path, "--out", tmp_path / "x.csv") == 2
         assert capsys.readouterr().err.startswith(f"config error: --in: invalid JSON in {path}: ")
         assert not (tmp_path / "x.csv").exists()
+        # Nesting past the parser's depth is named too, not a traceback.
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"config error: config: JSON nested too deeply in {path}\n"
+        assert run_cli("plot-data", "--kind", "tracking", "--in", path,
+                       "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"config error: --in: JSON nested too deeply in {path}\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_exits_3(self, tmp_path):
         assert run_cli("run", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 3
@@ -155,6 +163,15 @@ class TestBatchCommand:
                          "game_0009.txt", "game_1.json", "notes.txt"]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["games"] == 2
+
+    def test_failed_trace_write_leaves_no_summary(self, config_path, tmp_path, capsys):
+        out = tmp_path / "batch"
+        blocked = out / "traces" / "game_0001.json"
+        blocked.mkdir(parents=True)
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", 3,
+                       "--jobs", 2, "--emit-traces") == 3
+        assert str(blocked) in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["traces"]
 
     def test_single_game_batch_cdfs_are_point_masses(self, config_path, tmp_path):
         out = tmp_path / "one"

@@ -17,6 +17,7 @@ from qgan_sim.harness import (
     SNAPSHOTS_HEADER,
     TRACKING_HEADER,
     TRAJECTORY_HEADER,
+    GameOutcome,
     SigmaSpec,
     load_experiment,
     resolve_seed,
@@ -294,6 +295,26 @@ class TestBatch:
         serial = run_batch(spec, 6, jobs=1)
         parallel = run_batch(spec, 6, jobs=3)
         assert serial == parallel
+
+    def test_traces_written_where_games_are_played(self, tmp_path):
+        spec = fast_spec(seed=100)
+        traces = run_batch(spec, 5)
+        serial_dir, pooled_dir, solo_dir = (tmp_path / name for name in ("s", "p", "solo"))
+        for directory in (serial_dir, pooled_dir, solo_dir):
+            directory.mkdir()
+        serial = run_batch(spec, 5, traces_dir=serial_dir)
+        pooled = run_batch(spec, 5, jobs=2, traces_dir=pooled_dir)
+        assert pooled == serial == [
+            GameOutcome(t.c_step_total, t.final_fidelity, t.termination) for t in traces
+        ]
+        names = [f"game_{k:04d}.json" for k in range(5)]
+        for name, trace in zip(names, traces):
+            write_json(trace_to_doc(trace), solo_dir / name)
+            expected = (solo_dir / name).read_bytes()
+            assert (serial_dir / name).read_bytes() == expected
+            assert (pooled_dir / name).read_bytes() == expected
+        assert sorted(os.listdir(pooled_dir)) == names
+        assert summarize_batch(pooled, spec) == summarize_batch(traces, spec)
 
     @pytest.mark.parametrize(
         "jobs, count, cpus, expected",
