@@ -144,10 +144,12 @@ class DensityMatrix:
     is symmetrized), the trace must equal 1 within 1e-12 and both
     eigenvalues must be >= -1e-12.  Only the entries ``(m00, m01, m11)`` are
     stored; ``m10`` is the conjugate of ``m01``.  ``_axis`` and
-    ``_generated`` are memo slots for the estimator (the last measurement
-    axis, with this state's Bloch vector after the channel, and the last
-    generated state it read out against this state); they take no part in
-    equality and are left out of a pickle.
+    ``_generated`` are the estimator's memo slots, one per side of the
+    read-out: the last measurement axis, with p_sigma and this state's Bloch
+    vector after the channel, and the last generated state read out against
+    this state.  ``estimate_d`` reuses a side whose objects are the kept
+    ones and otherwise checks, computes and replaces that side alone.  The
+    slots take no part in equality and are left out of a pickle.
     """
 
     __slots__ = ("_entries", "_bloch", "_axis", "_generated")

@@ -34,6 +34,16 @@ def cmd_batch(args) -> int:
     spec = _load_spec(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # --out describes one batch: the files an earlier batch wrote there go
+    # before any game is played.
+    stale = [out / name for name in ("summary.json", "cdf_c_step.csv", "cdf_fidelity.csv")]
+    for path in (out / "traces").glob("game_*.json"):
+        index = path.stem[len("game_"):]
+        if index.isdecimal() and path.name == f"game_{int(index):04d}.json":
+            stale.append(path)
+    for path in stale:
+        if path.is_file():
+            path.unlink()
     traces_dir = None
     if args.emit_traces:
         traces_dir = out / "traces"
@@ -41,12 +51,6 @@ def cmd_batch(args) -> int:
     # Each game's trace is written where it is played; the summary comes last,
     # so a batch that fails to write a trace writes no summary.
     outcomes = harness.run_batch(spec, args.n, jobs=args.jobs, traces_dir=traces_dir)
-    if traces_dir is not None:
-        # Traces left by an earlier, larger batch would outlive its summary.
-        for path in traces_dir.glob("game_*.json"):
-            index = path.name[len("game_"):-len(".json")]
-            if index.isdecimal() and int(index) >= args.n and path.is_file():
-                path.unlink()
     summary = harness.summarize_batch(outcomes, spec)
     harness.write_json(harness.summary_to_doc(summary), out / "summary.json")
     harness.write_cdf_csv(summary.cdf_c_step, out / "cdf_c_step.csv")

@@ -130,48 +130,43 @@ def estimate_d(
     kernels the object API runs after its own checks.
 
     Within a turn one player's parameters stay the very same objects, so
-    each side of the read-out is kept on ``sigma`` from the last call: the
-    axis with p_sigma and the true state's vector after the channel, keyed
-    by the ``beta``, ``gamma`` and ``noise`` objects, and the generated
-    vector after the channel, keyed by ``r``, ``theta``, ``phi`` and
-    ``noise``.  A side whose objects are the ones kept was checked and
-    computed by that call, so it is reused as it is, and the true vector
-    is reused whenever ``noise`` is the kept one; the result is
+    each side of the read-out is kept on ``sigma`` from the last call and
+    read out in one block, the generated side first: its vector after the
+    channel, keyed by the ``r``, ``theta``, ``phi`` and ``noise`` objects,
+    then the axis with p_sigma and the true vector after the channel, keyed
+    by ``beta``, ``gamma`` and ``noise``.  A side whose objects are the kept
+    ones is reused as that call checked and computed it; any other side is
+    checked, computed and stored before the next is looked at (the true
+    vector is reused whenever ``noise`` is the kept one), so the result is
     bit-identical to a call on a fresh state.
     """
     r, theta, phi = gen
     beta, gamma = meas
     kept = sigma._generated
-    gen_kept = (
+    if not (
         kept is not None and kept[0] is r and kept[1] is theta and kept[2] is phi
         and kept[3] is noise
-    )
-    axis = sigma._axis
-    axis_kept = axis is not None and axis[0] is beta and axis[1] is gamma and axis[2] is noise
-    if not (gen_kept or 0.0 <= r <= 1.0):
-        raise ValueError(f"r must be in [0, 1], got {r}")
-    if not (
-        (gen_kept or math.isfinite(theta) and math.isfinite(phi))
-        and (axis_kept or math.isfinite(beta) and math.isfinite(gamma))
     ):
-        raise ValueError("theta, phi, beta and gamma must be finite")
-    if axis_kept:
-        _, _, _, mx, my, mz, p_sigma, _ = axis
-    else:
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"r must be in [0, 1], got {r}")
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError("theta, phi, beta and gamma must be finite")
+        kept = (r, theta, phi, noise, *_measured_xyz(noise, *state_xyz(r, theta, phi)))
+        sigma._generated = kept
+    axis = sigma._axis
+    if not (axis is not None and axis[0] is beta and axis[1] is gamma and axis[2] is noise):
+        if not (math.isfinite(beta) and math.isfinite(gamma)):
+            raise ValueError("theta, phi, beta and gamma must be finite")
         mx, my, mz = axis_xyz(beta, gamma)
-    if gen_kept:
-        _, _, _, _, x, y, z = kept
-    else:
-        x, y, z = _measured_xyz(noise, *state_xyz(r, theta, phi))
-        sigma._generated = (r, theta, phi, noise, x, y, z)
-    if not axis_kept:
         if axis is not None and axis[2] is noise:
             true = axis[7]
         else:  # the true state never changes, so this runs once per channel
             v = apply_noise(noise, sigma.to_bloch(), "true")
             true = (v.x, v.y, v.z)
-        p_sigma = _probability(mx, my, mz, *true)
-        sigma._axis = (beta, gamma, noise, mx, my, mz, p_sigma, true)
+        axis = (beta, gamma, noise, mx, my, mz, _probability(mx, my, mz, *true), true)
+        sigma._axis = axis
+    _, _, _, _, x, y, z = kept
+    _, _, _, mx, my, mz, p_sigma, _ = axis
     if shots is None:
         return _estimate(_probability(mx, my, mz, x, y, z), p_sigma, None)
     if rng is None:

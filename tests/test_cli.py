@@ -173,6 +173,31 @@ class TestBatchCommand:
         assert str(blocked) in capsys.readouterr().err
         assert sorted(path.name for path in out.iterdir()) == ["traces"]
 
+    def test_failed_batch_leaves_nothing_of_an_earlier_one(self, config_path, tmp_path):
+        out = tmp_path / "batch"
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", 3,
+                       "--seed", 0, "--emit-traces") == 0
+        blocked = out / "traces" / "game_0001.json"
+        blocked.unlink()
+        blocked.mkdir()
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", 3,
+                       "--seed", 50, "--emit-traces") == 3
+        assert sorted(path.name for path in out.iterdir()) == ["traces"]
+        assert sorted(path.name for path in (out / "traces").iterdir()) == [
+            "game_0000.json", "game_0001.json"]
+        doc = json.loads((out / "traces" / "game_0000.json").read_text())
+        assert doc["config"]["seed"] == 50
+
+    def test_batch_without_traces_removes_earlier_traces(self, config_path, tmp_path):
+        out = tmp_path / "batch"
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", 3,
+                       "--seed", 0, "--emit-traces") == 0
+        assert run_cli("batch", "--config", config_path, "--out", out, "--n", 2,
+                       "--seed", 50) == 0
+        assert list((out / "traces").iterdir()) == []
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["games"], summary["config_echo"]["seed"]) == (2, 50)
+
     def test_single_game_batch_cdfs_are_point_masses(self, config_path, tmp_path):
         out = tmp_path / "one"
         run_cli("batch", "--config", config_path, "--out", out, "--n", 1)

@@ -46,6 +46,8 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
 angles = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+bad_r = st.floats().filter(lambda r: not 0.0 <= r <= 1.0)
+bad_angles = st.sampled_from((math.nan, math.inf, -math.inf))
 noises = st.none() | st.builds(
     NoiseSettings,
     depolarizing_eps=unit,
@@ -158,8 +160,10 @@ def test_branchwise_draw_order(p, v, noise, n, seed):
 def call_sequences(draw):
     """Estimator calls as a game makes them: turns in which one side keeps
     its very objects while the other moves.  A move may also put in an
-    equal-valued but distinct float, or flip a zero's sign, and the noise
-    object is swapped (perhaps for an equal copy) partway through."""
+    equal-valued but distinct float, or flip a zero's sign, or come with a
+    bad value (r outside [0, 1], a NaN or infinite angle) on either side
+    for a call or two before the old object is back, and the noise object
+    is swapped (perhaps for an equal copy) partway through."""
     values = draw(params())
     sides = {"G": list(values[:3]), "D": list(values[3:])}
     first = draw(noises)
@@ -175,9 +179,17 @@ def call_sequences(draw):
         side = sides[turn]
         for _ in range(draw(st.integers(1, 5))):
             i = draw(st.integers(0, len(side) - 1))
-            how = draw(st.sampled_from(("keep", "move", "copy", "zero")))
-            if how == "move":
+            how = draw(st.sampled_from(("keep", "move", "copy", "zero", "bad")))
+            if how in ("move", "bad"):
                 side[i] = draw(unit if turn == "G" and i == 0 else angles)
+            if how == "bad":
+                hurt = draw(st.sampled_from("GD"))
+                j = draw(st.integers(0, len(sides[hurt]) - 1))
+                good = sides[hurt][j]
+                sides[hurt][j] = draw(bad_r if hurt == "G" and j == 0 else bad_angles)
+                for _ in range(draw(st.integers(1, 2))):
+                    call()
+                sides[hurt][j] = good
             elif how == "copy":
                 side[i] = float(repr(side[i]))
             elif how == "zero":  # 0.0 in one call, -0.0 in the next
@@ -188,20 +200,29 @@ def call_sequences(draw):
     return calls
 
 
+def read_out(*args) -> str:
+    """The repr of ``estimate_d(*args)``, or the ValueError it raises."""
+    try:
+        return repr(estimate_d(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 @PROPERTY_SETTINGS
 @given(calls=call_sequences(), v=bloch_vectors(), n=st.none() | shots, seed=seeds,
        branchwise=st.booleans())
 def test_reused_sigma_reads_out_as_a_fresh_one(calls, v, n, seed, branchwise):
     # The estimator keeps each side of the read-out on sigma between calls;
-    # a reused state must give what a fresh state (no memo) gives, bit for bit.
+    # a reused state must give what a fresh state (no memo) gives, bit for
+    # bit, and reject what a fresh state rejects with the same message.
     matrix = density(v)
     sigma = DensityMatrix(matrix)
     rng = np.random.default_rng(seed)
     twin = np.random.default_rng(seed)
     for gen, meas, noise in calls:
-        kept = estimate_d(gen, meas, sigma, n, noise, rng, branchwise)
-        fresh = estimate_d(gen, meas, DensityMatrix(matrix), n, noise, twin, branchwise)
-        assert repr(kept) == repr(fresh)
+        kept = read_out(gen, meas, sigma, n, noise, rng, branchwise)
+        fresh = read_out(gen, meas, DensityMatrix(matrix), n, noise, twin, branchwise)
+        assert kept == fresh
     assert rng.random() == twin.random()
 
 
