@@ -149,7 +149,8 @@ class DensityMatrix:
     vector after the channel, and the last generated state read out against
     this state.  ``estimate_d`` reuses a side whose objects are the kept
     ones and otherwise checks, computes and replaces that side alone.  The
-    slots take no part in equality and are left out of a pickle.
+    slots take no part in equality.  A pickle carries them, but pickle shares
+    no float objects, so an unpickled memo's parameter keys can only miss.
     """
 
     __slots__ = ("_entries", "_bloch", "_axis", "_generated")
@@ -177,7 +178,7 @@ class DensityMatrix:
         # scalars would ride into every estimate at several times the cost.
         m00, m01, m11 = float(m00), complex(m01), float(m11)
         self._entries = (m00, m01, m11)
-        self._forget()
+        self._axis = self._generated = None
         m10 = m01.conjugate()
         x = 2.0 * m10.real
         y = 2.0 * m10.imag
@@ -188,16 +189,6 @@ class DensityMatrix:
             s = 1.0 / math.sqrt(nsq)
             x, y, z = x * s, y * s, z * s
         self._bloch = BlochVector(x, y, z)
-
-    def _forget(self) -> None:
-        self._axis = self._generated = None
-
-    def __getstate__(self) -> tuple:
-        return self._entries, self._bloch
-
-    def __setstate__(self, state: tuple) -> None:
-        self._entries, self._bloch = state
-        self._forget()
 
     @classmethod
     def from_bloch(cls, v: BlochVector) -> "DensityMatrix":

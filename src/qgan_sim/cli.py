@@ -39,7 +39,7 @@ def cmd_batch(args) -> int:
     stale = [out / name for name in ("summary.json", "cdf_c_step.csv", "cdf_fidelity.csv")]
     for path in (out / "traces").glob("game_*.json"):
         index = path.stem[len("game_"):]
-        if index.isdecimal() and path.name == f"game_{int(index):04d}.json":
+        if index.isdecimal() and path.name == harness.TRACE_NAME.format(int(index)):
             stale.append(path)
     for path in stale:
         if path.is_file():
@@ -116,21 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="play one game and record its trajectory")
-    run.add_argument("--config", required=True, help="JSON config file")
-    run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", type=_seed, default=None, help="seed override")
     run.set_defaults(func=cmd_run)
-
     batch = sub.add_parser("batch", help="play N seeded games and summarize")
-    batch.add_argument("--config", required=True, help="JSON config file")
-    batch.add_argument("--out", required=True, help="output directory")
-    batch.add_argument("--seed", type=_seed, default=None, help="seed override")
+    batch.set_defaults(func=cmd_batch)
+    for command in (run, batch):
+        command.add_argument("--config", required=True, help="JSON config file")
+        command.add_argument("--out", required=True, help="output directory")
+        command.add_argument("--seed", type=_seed, default=None, help="seed override")
     batch.add_argument("--n", type=_count, required=True, help="number of games")
     batch.add_argument("--jobs", type=_count, default=1, help="parallel workers")
     batch.add_argument(
         "--emit-traces", action="store_true", help="also write per-game result JSONs"
     )
-    batch.set_defaults(func=cmd_batch)
 
     plot = sub.add_parser("plot-data", help="extract plain-CSV plot data")
     plot.add_argument(

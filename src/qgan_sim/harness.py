@@ -72,6 +72,8 @@ __all__ = [
 RESULT_SCHEMA = "qgan-sim/result/v1"
 SUMMARY_SCHEMA = "qgan-sim/summary/v1"
 SEED_ENV_VAR = "QGAN_SIM_SEED"
+# The file name of game k's result document in a batch: TRACE_NAME.format(k).
+TRACE_NAME = "game_{:04d}.json"
 
 TRAJECTORY_HEADER = "step,round,turn,r,theta,phi,beta,gamma,p_rho_hat,p_sigma_hat,d_hat,fidelity_ideal"
 TRACKING_HEADER = "step,p_sigma_hat,p_rho_hat,d_hat,fidelity"
@@ -285,10 +287,6 @@ def run_experiment(spec: ExperimentSpec) -> GameTrace:
     return run_game(sigma, spec.game, rng=rng, initial=spec.initial)
 
 
-def _indexed_spec(spec: ExperimentSpec, index: int) -> ExperimentSpec:
-    return replace(spec, game=replace(spec.game, seed=spec.game.seed + index))
-
-
 @dataclass(frozen=True)
 class GameOutcome:
     """The fields of one game that a batch summary reads: what ``run_batch``
@@ -299,9 +297,13 @@ class GameOutcome:
     termination: Termination
 
 
-def _play_and_write(item: tuple[ExperimentSpec, Path]) -> GameOutcome:
+def _play(item: tuple[ExperimentSpec, Path | None]) -> GameTrace | GameOutcome:
+    """Play one game.  Without a path, return its trace; with one, write the
+    trace's result document there and return the game's GameOutcome."""
     spec, path = item
     trace = run_experiment(spec)
+    if path is None:
+        return trace
     write_json(trace_to_doc(trace), path)
     return GameOutcome(trace.c_step_total, trace.final_fidelity, trace.termination)
 
@@ -321,16 +323,16 @@ def run_batch(
         raise ValueError(f"count must be >= 1, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    items = [_indexed_spec(spec, k) for k in range(count)]
-    play = run_experiment
-    if traces_dir is not None:
-        play = _play_and_write
-        items = [(s, Path(traces_dir) / f"game_{k:04d}.json") for k, s in enumerate(items)]
+    items = [
+        (replace(spec, game=replace(spec.game, seed=spec.game.seed + k)),
+         None if traces_dir is None else Path(traces_dir) / TRACE_NAME.format(k))
+        for k in range(count)
+    ]
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers == 1:
-        return [play(item) for item in items]
+        return [_play(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(play, items))
+        return list(pool.map(_play, items))
 
 
 @dataclass

@@ -10,6 +10,7 @@ import oracles
 from qgan_sim import (
     BlochVector,
     DensityMatrix,
+    GameConfig,
     GeneratorParams,
     MeasurementParams,
     NoiseSettings,
@@ -20,6 +21,7 @@ from qgan_sim import (
     outcome_probability,
     random_initial_params,
     random_true_state,
+    run_game,
     state_bloch,
     trace_distance,
 )
@@ -117,17 +119,33 @@ class TestDensityMatrix:
         assert [type(c) for c in (v.x, v.y, v.z)] == [float, float, float]
         assert rho == plain and hash(rho) == hash(plain)
 
-    def test_pickle_leaves_the_estimator_memos_behind(self):
-        # A --jobs worker sends every trace's sigma back by pickle; the memos
-        # (and the NoiseSettings object keying them) must not travel with it.
+    def test_pickled_sigma_reads_out_as_a_fresh_one(self):
+        # A --jobs worker without traces sends each trace back by pickle, its
+        # sigma's read-out memos included.  Pickle shares no float objects,
+        # so an unpickled memo can only miss: every later read-out, on the
+        # trace's own params_after floats or on new ones, is a fresh sigma's.
+        noise = NoiseSettings.decoherence_preset()
         sigma = DensityMatrix.from_bloch(BlochVector(0.3, -0.2, 0.5))
-        estimate_d((0.4, 1.1, 2.3), (0.7, 0.2), sigma, None, NoiseSettings(0.1, 0.2))
-        assert None not in (sigma._axis, sigma._generated)
-        back = pickle.loads(pickle.dumps(sigma))
-        assert back == sigma
-        assert back._entries == sigma._entries and back.to_bloch() == sigma.to_bloch()
-        assert (back._axis, back._generated) == (None, None)
-        assert b"NoiseSettings" not in pickle.dumps(sigma)
+        estimate_d((0.4, 1.1, 2.3), (0.7, 0.2), sigma, None, noise)
+        estimate_d((0.4, 1.1, 2.3), (0.7, 0.2), sigma, 50, noise, np.random.default_rng(1))
+        config = GameConfig(shots=50, noise=noise, c_limit=30, seed=3)
+        trace = run_game(DensityMatrix.pure_ground(), config, rng=np.random.default_rng(3))
+        lone = pickle.loads(pickle.dumps(sigma))
+        back = pickle.loads(pickle.dumps(trace))
+        assert lone == sigma and back == trace
+        new = [(0.4, 1.1, 2.3, 0.7, 0.2), (0.6, 0.5, 4.0, 2.9, 1.3)]
+        own = [rec.params_after for rec in (back.steps[-1], back.steps[0])]
+        cases = [(lone, new, noise), (back.sigma, own + new, back.config.noise)]
+        for kept, params, channel in cases:
+            for p in params:
+                fresh = DensityMatrix(kept.matrix)
+                assert fresh == kept
+                for shots in (None, 50):
+                    got, want = (
+                        estimate_d(p[:3], p[3:], s, shots, channel, np.random.default_rng(2))
+                        for s in (kept, fresh)
+                    )
+                    assert got == want
 
 
 class TestStateBloch:

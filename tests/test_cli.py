@@ -153,14 +153,17 @@ class TestBatchCommand:
         out = tmp_path / "batch"
         assert run_cli("batch", "--config", config_path, "--out", out, "--n", 5,
                        "--emit-traces") == 0
-        for name in ("game_1.json", "game_0009.txt", "notes.txt"):
+        # game_10000.json is the writer's name for game 10,000; game_00001.json
+        # is no game's name.
+        for name in ("game_1.json", "game_0009.txt", "notes.txt", "game_00001.json"):
             (out / "traces" / name).write_text("kept")
+        (out / "traces" / "game_10000.json").write_text("stale")
         (out / "traces" / "game_0008.json").mkdir()
         assert run_cli("batch", "--config", config_path, "--out", out, "--n", 2,
                        "--emit-traces") == 0
         names = sorted(path.name for path in (out / "traces").iterdir())
-        assert names == ["game_0000.json", "game_0001.json", "game_0008.json",
-                         "game_0009.txt", "game_1.json", "notes.txt"]
+        assert names == ["game_0000.json", "game_00001.json", "game_0001.json",
+                         "game_0008.json", "game_0009.txt", "game_1.json", "notes.txt"]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["games"] == 2
 
