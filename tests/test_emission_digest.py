@@ -6,7 +6,12 @@ kept hand-written field tables and two file writers.  ``KNOB_DIGESTS`` pin
 the loop paths the default config leaves alone (one step per iteration,
 branchwise draws, generated-only noise, a Hilbert-Schmidt sigma, a binding
 per-turn cap and a two-step stall window); they were recorded from the play
-loop that still dispatched on the turn inside its body.  A refactor that
+loop that still dispatched on the turn inside its body.  ``INITIAL_DIGESTS``
+pin a config with a fixed ``sigma`` vector and an ``initial`` block: the
+opening move read from the config (r close enough to 1 that G's first r
+difference flips backward, angles outside their draw ranges) and its echo
+in ``summary.json``; they were recorded from the game that still carried
+the parameter objects between turns.  A refactor that
 alters any emitted byte fails here.  Re-record them only for a change that
 alters the output on purpose and says so.
 """
@@ -39,6 +44,14 @@ KNOBS = {
     "seed": 0,
 }
 
+INITIAL = {
+    "shots": 1000,
+    "c_limit": 60,
+    "sigma": {"mode": "fixed", "bloch": [0.3, -0.2, 0.5]},
+    "initial": {"r": 0.97, "theta": 2.5, "phi": -1.0, "beta": 0.4, "gamma": 7.0},
+    "seed": 0,
+}
+
 DIGESTS = {
     "batch/cdf_c_step.csv": "42b4da83a7cdb8d1e5df4c945172f447a7481c4629d7622bb065825cfbf19660",
     "batch/cdf_fidelity.csv": "c1ef0ca9bd1b9e120ab9ec34c978288d4af4455fa1d206154de959743b479bf3",
@@ -66,6 +79,21 @@ KNOB_DIGESTS = {
     "plot/tracking.csv": "f061f7b72281c6b6be28e06f6ec0a13eacc6789a7697b9a361d366e5ad0235ac",
     "run/result.json": "85c12b8723bc330390e15d16fdea23a3c04165f470abbb814b748172fa6f7fde",
     "run/trajectory.csv": "2b8cbbbeaf63bb4c0fbd99c4fbfcb4ea1d4af8ea484f034d85f904a4b0c34148",
+}
+
+
+INITIAL_DIGESTS = {
+    "batch/cdf_c_step.csv": "073a571927776fec1a7b529c9babf4975b16fd5c29fe4f361808e3577845bfd2",
+    "batch/cdf_fidelity.csv": "4df92c46b95c0ecd78a9b1872610e84f8aaeb1fa4f999072e35573280984257b",
+    "batch/summary.json": "09fb55b1ca2921697193873dfd0ebe09b98a530fed4ec0610d7436b2596cda4b",
+    "batch/traces/game_0000.json": "1fe5815c9301d79ae6c3b98cbec5a652d2e49025817a3a1b6539d9026066c26c",
+    "batch/traces/game_0001.json": "3caf4dc039113854a0ae03e9c96afa7410c9ee521654a5a4899cc0d22ef01697",
+    "batch/traces/game_0002.json": "178392613e476ca90879463c10dc65dc278732e6a7e62e410dbbb63920b8ce18",
+    "plot/bloch-snapshots.csv": "bf52787d74e59c3b55992aa64a2a0a573716aa9b546c57b048e4303279680d32",
+    "plot/cdf.csv": "4df92c46b95c0ecd78a9b1872610e84f8aaeb1fa4f999072e35573280984257b",
+    "plot/tracking.csv": "4933425cdd2345eb0c6b40bee7838f8081d823491318daef2e11534ad13642d5",
+    "run/result.json": "1fe5815c9301d79ae6c3b98cbec5a652d2e49025817a3a1b6539d9026066c26c",
+    "run/trajectory.csv": "153873162f3fcfc17a94b305f3178a202a5a57d838d895fb13db0d3d8604857e",
 }
 
 
@@ -105,3 +133,7 @@ def test_emitted_files_match_recorded_digests(emitted):
 
 def test_knob_config_files_match_recorded_digests(tmp_path):
     assert _emit(tmp_path, KNOBS) == KNOB_DIGESTS
+
+
+def test_initial_config_files_match_recorded_digests(tmp_path):
+    assert _emit(tmp_path, INITIAL) == INITIAL_DIGESTS
