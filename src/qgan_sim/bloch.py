@@ -391,17 +391,12 @@ def random_true_state(
     raise ValueError(f"unknown true-state mode {mode!r} (expected one of {SIGMA_MODES})")
 
 
-def random_initial_params(
-    rng: np.random.Generator,
-) -> tuple[GeneratorParams, MeasurementParams]:
-    """Random opening strategies for both players.
+def random_initial_params(rng: np.random.Generator) -> tuple[float, float, float, float, float]:
+    """Random opening strategies for both players, as the flat tuple
+    (r, theta, phi, beta, gamma) the game carries.
 
     Draw order is fixed (r, theta, phi, beta, gamma) so seeded runs are
     reproducible: r ~ U[0,1], theta, beta ~ U[0,pi], phi, gamma ~ U[0,2pi).
     """
-    r = float(rng.uniform(0.0, 1.0))
-    theta = float(rng.uniform(0.0, math.pi))
-    phi = float(rng.uniform(0.0, 2.0 * math.pi))
-    beta = float(rng.uniform(0.0, math.pi))
-    gamma = float(rng.uniform(0.0, 2.0 * math.pi))
-    return GeneratorParams(r, theta, phi), MeasurementParams(beta, gamma)
+    pi, two_pi = math.pi, 2.0 * math.pi
+    return tuple(float(rng.uniform(0.0, high)) for high in (1.0, pi, two_pi, pi, two_pi))

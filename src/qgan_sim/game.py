@@ -22,6 +22,7 @@ re-measurements, whatever the counting mode.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Literal, get_args
@@ -63,9 +64,10 @@ Termination = Literal["equilibrium", "budget-exhausted"]
 D_TURN, G_TURN = get_args(Turn)
 TERMINATION_EQUILIBRIUM, TERMINATION_BUDGET = get_args(Termination)
 
-# The game loop carries both strategies as one flat tuple in this order;
-# each player varies its own slice of it.
+# The game carries both strategies as one flat tuple in this order, from
+# the opening move to the trace; each player varies its own slice of it.
 PARAM_NAMES = ("r", "theta", "phi", "beta", "gamma")
+Params = tuple[float, float, float, float, float]
 _ACTIVE = {D_TURN: (3, 4), G_TURN: (0, 1, 2)}
 
 
@@ -149,7 +151,7 @@ class StepRecord:
     step_index: int
     round_index: int
     turn: Turn
-    params_after: tuple[float, float, float, float, float]
+    params_after: Params
     estimate: OutcomeEstimate
     fidelity_ideal: float
 
@@ -202,14 +204,13 @@ def finite_diff_gradient(
 def run_turn(
     turn: str,
     round_index: int,
-    gen: GeneratorParams,
-    meas: MeasurementParams,
+    p: Params,
     sigma: DensityMatrix,
     config: GameConfig,
     rng: np.random.Generator,
     entering: OutcomeEstimate | None = None,
     c_start: int = 0,
-) -> tuple[GeneratorParams, MeasurementParams, list[StepRecord], int, OutcomeEstimate]:
+) -> tuple[Params, list[StepRecord], int, OutcomeEstimate]:
     """One player's optimization turn.
 
     Each iteration estimates all of the active player's partials at the
@@ -221,10 +222,10 @@ def run_turn(
     entirely if ``entering`` is already below it.  Both stop unconditionally
     once the turn has consumed ``per_turn_cap`` steps.
 
-    Returns the updated generator and measurement parameters, the step
-    records appended by this turn, the advanced global step counter, and
-    the estimate describing the returned strategy (D: its best; G: its
-    last, or ``entering`` for a skipped turn).
+    Takes and returns the flat tuple p = (r, theta, phi, beta, gamma); also
+    returns the step records appended by this turn, the advanced global step
+    counter, and the estimate describing the returned p (D: its best; G: its
+    last, or ``entering`` and ``p`` unchanged for a skipped turn).
     """
     if turn not in _ACTIVE:
         raise ValueError(f"turn must be {D_TURN!r} or {G_TURN!r}, got {turn!r}")
@@ -240,14 +241,14 @@ def run_turn(
         if entering is None:
             raise ValueError("the generator turn requires the entering estimate")
         if entering.d_hat < threshold:
-            return gen, meas, [], c_start, entering
+            return p, [], c_start, entering
     active = _ACTIVE[turn]
     rate = config.learning_rate if ascend else -config.learning_rate
     per_step = len(active) if config.count_per_partial else 1
     shots = None if config.exact_mode else config.shots
-    p = (*gen, *meas)
-    # The generator stands still in D's turn, and so does its ideal fidelity.
-    fid = generated_fidelity(sigma, p[0], p[1], p[2]) if ascend else None
+    # The generator stands still in D's turn, and so does its ideal fidelity;
+    # D takes it at its first record, once the estimator has checked p.
+    fid = None
     records: list[StepRecord] = []
     c = c_start
     while c - c_start < config.per_turn_cap:
@@ -266,7 +267,7 @@ def run_turn(
         p = tuple(q)
         c += per_step
         est = estimate_d(p[:3], p[3:], sigma, shots, config.noise, rng, config.branchwise)
-        if not ascend:
+        if fid is None or not ascend:
             fid = generated_fidelity(sigma, p[0], p[1], p[2])
         records.append(StepRecord(step_index=c, round_index=round_index, turn=turn,
                                   params_after=p, estimate=est, fidelity_ideal=fid))
@@ -281,17 +282,20 @@ def run_turn(
         # not wherever the stall left it; the re-measurement at that axis is
         # reused, so the shot accounting is unchanged.
         kept = max(records, key=lambda rec: rec.estimate.d_hat)
-        return gen, MeasurementParams(*kept.params_after[3:]), records, c, kept.estimate
-    return GeneratorParams(*p[:3]), meas, records, c, est
+        return kept.params_after, records, c, kept.estimate
+    return p, records, c, est
 
 
 def run_game(
     sigma: DensityMatrix,
     config: GameConfig,
     rng: np.random.Generator | None = None,
-    initial: tuple[GeneratorParams, MeasurementParams] | None = None,
+    initial: Sequence[float] | None = None,
 ) -> GameTrace:
     """Play one full adversarial game and record every step.
+
+    ``initial`` is the opening (r, theta, phi, beta, gamma), drawn from
+    ``rng`` when omitted; the estimator checks its values before any draw.
 
     The discriminator always opens each round.  Equilibrium is declared
     when its optimized d falls below ``d_bound``; otherwise the game stops
@@ -300,14 +304,16 @@ def run_game(
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    gen, meas = random_initial_params(rng) if initial is None else initial
+    p = random_initial_params(rng) if initial is None else tuple(initial)
+    if len(p) != len(PARAM_NAMES):
+        raise ValueError(f"initial must be ({', '.join(PARAM_NAMES)}), got {initial!r}")
     steps: list[StepRecord] = []
     termination = TERMINATION_BUDGET
     last: OutcomeEstimate | None = None
     c = 0
     for round_index, turn in ((k, t) for k in count(1) for t in (D_TURN, G_TURN)):
-        gen, meas, recs, c, last = run_turn(
-            turn, round_index, gen, meas, sigma, config, rng, entering=last, c_start=c,
+        p, recs, c, last = run_turn(
+            turn, round_index, p, sigma, config, rng, entering=last, c_start=c,
         )
         steps.extend(recs)
         # D's turn hands back its best measured strategy; equilibrium is
@@ -324,7 +330,7 @@ def run_game(
         steps=steps,
         termination=termination,
         c_step_total=c,
-        final_fidelity=fidelity(sigma, DensityMatrix.from_bloch(state_bloch(gen))),
+        final_fidelity=fidelity(sigma, DensityMatrix.from_bloch(state_bloch(GeneratorParams(*p[:3])))),
     )
 
 

@@ -23,23 +23,9 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .bloch import (
-    _BALL_TOL,
-    DensityMatrix,
-    GeneratorParams,
-    MeasurementParams,
-    SIGMA_MODES,
-    measurement_axis,
-    random_true_state,
-    state_bloch,
-)
-from .game import (
-    PARAM_NAMES,
-    GameConfig,
-    GameTrace,
-    Termination,
-    run_game,
-)
+from .bloch import _BALL_TOL, DensityMatrix, SIGMA_MODES, axis_xyz, random_true_state, state_xyz
+from .game import PARAM_NAMES, GameConfig, GameTrace, Params, Termination, run_game
+from .noise import NoiseSettings
 
 __all__ = [
     "ConfigError",
@@ -103,11 +89,11 @@ class SigmaSpec:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One fully resolved experiment: game config, true state, optional
-    fixed initial strategies."""
+    fixed opening (r, theta, phi, beta, gamma)."""
 
     game: GameConfig
     sigma: SigmaSpec = SigmaSpec()
-    initial: tuple[GeneratorParams, MeasurementParams] | None = None
+    initial: Params | None = None
 
 
 def _coerce(field_name: str, value, kind):
@@ -214,13 +200,15 @@ def _parse_sigma(where: str, doc) -> SigmaSpec:
     return SigmaSpec(mode, bloch)
 
 
-def _parse_initial(where: str, doc) -> tuple[GeneratorParams, MeasurementParams]:
+def _parse_initial(where: str, doc) -> Params:
+    # Every field is a finite float (read as one), so only r's range is left.
     block = _fields(where, doc, dict.fromkeys(PARAM_NAMES, float))
     missing = [name for name in PARAM_NAMES if name not in block]
     if missing:
         raise ConfigError(f"{where}.{missing[0]}", "required when initial is given")
-    r, theta, phi, beta, gamma = (block[name] for name in PARAM_NAMES)
-    return _build(f"{where}.r", GeneratorParams, r, theta, phi), MeasurementParams(beta, gamma)
+    if not 0.0 <= block["r"] <= 1.0:
+        raise ConfigError(f"{where}.r", f"r must be in [0, 1], got {block['r']}")
+    return tuple(block[name] for name in PARAM_NAMES)
 
 
 def _build(where: str, cls, *args, **kwargs):
@@ -405,8 +393,7 @@ def spec_to_doc(spec: ExperimentSpec) -> dict:
     if spec.sigma.bloch is not None:
         doc["sigma"]["bloch"] = list(spec.sigma.bloch)
     if spec.initial is not None:
-        gen, meas = spec.initial
-        doc["initial"] = dict(zip(PARAM_NAMES, (*gen, *meas)))
+        doc["initial"] = dict(zip(PARAM_NAMES, spec.initial))
     return doc
 
 
@@ -433,12 +420,30 @@ def _sigma_from_doc(where: str, doc) -> DensityMatrix:
 # sigma.bloch is written for readers of the file; the matrix defines the state.
 _SIGMA_KINDS = {"matrix": list[list[tuple[float, float]]], "bloch": tuple[float, float, float]}
 
-# GameTrace's annotations, but steps is read first and config (as a config
-# file) and sigma (from its matrix) last: a bare document lacks 'steps' first.
+def _config_from_doc(where: str, doc) -> GameConfig:
+    """A result document's config block, named as in a config file, but whole:
+    the writer writes every field, noise's too, and no sigma or initial."""
+    block = _fields("", doc, _WRITTEN_CONFIG_KINDS)
+    missing = [name for name in _WRITTEN_CONFIG_KINDS if name not in block]
+    if missing:
+        raise ConfigError(where, f"{missing[0]!r} is required")
+    return _build(where, GameConfig, **block)
+
+
+_NOISE_KINDS = _kinds(NoiseSettings)[0]
+_WRITTEN_CONFIG_KINDS = {
+    **_kinds(GameConfig)[0],
+    "noise": lambda where, raw: _build(
+        where, NoiseSettings, **_fields(where, raw, _NOISE_KINDS, required=_NOISE_KINDS)
+    ),
+}
+
+# GameTrace's annotations, but steps is read first and config and sigma (from
+# its matrix) last: a bare document lacks 'steps' first.
 _TRACE_KINDS = {
     "steps": _kinds(GameTrace)[0]["steps"],
     **{n: kind for n, kind in _kinds(GameTrace)[0].items() if n not in ("config", "sigma")},
-    "config": lambda where, raw: load_experiment(raw, env={}).game,
+    "config": _config_from_doc,
     "sigma": _sigma_from_doc,
 }
 
@@ -594,20 +599,12 @@ def write_snapshots_csv(
         if missing:
             raise ValueError(f"no step with index {missing[0]} in the trace")
         selected = [by_index[s] for s in steps]
-    v_sigma = trace.sigma.to_bloch()
-    rows = []
-    for rec in selected:
-        r, theta, phi, beta, gamma = rec.params_after
-        v_rho = state_bloch(GeneratorParams(r, theta, phi))
-        m = measurement_axis(MeasurementParams(beta, gamma))
-        rows.append(
-            [
-                str(rec.step_index),
-                _fmt(v_rho.x), _fmt(v_rho.y), _fmt(v_rho.z),
-                _fmt(v_sigma.x), _fmt(v_sigma.y), _fmt(v_sigma.z),
-                _fmt(m.x), _fmt(m.y), _fmt(m.z),
-            ]
-        )
+    v = trace.sigma.to_bloch()
+    rows = (
+        [str(rec.step_index), *map(_fmt, state_xyz(*rec.params_after[:3])),
+         *map(_fmt, (v.x, v.y, v.z)), *map(_fmt, axis_xyz(*rec.params_after[3:]))]
+        for rec in selected
+    )
     _write_csv(path, SNAPSHOTS_HEADER, rows)
 
 

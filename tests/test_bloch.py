@@ -425,14 +425,14 @@ class TestRandomInitialParams:
     def test_ranges_and_invariants(self):
         rng = np.random.default_rng(21)
         for _ in range(2000):
-            gen, meas = random_initial_params(rng)
-            assert 0.0 <= gen.r <= 1.0
-            assert 0.0 <= gen.theta <= math.pi
-            assert 0.0 <= gen.phi < 2 * math.pi
-            assert 0.0 <= meas.beta <= math.pi
-            assert 0.0 <= meas.gamma < 2 * math.pi
+            r, theta, phi, beta, gamma = random_initial_params(rng)
+            assert 0.0 <= r <= 1.0
+            assert 0.0 <= theta <= math.pi
+            assert 0.0 <= phi < 2 * math.pi
+            assert 0.0 <= beta <= math.pi
+            assert 0.0 <= gamma < 2 * math.pi
 
     def test_mixing_weight_is_uniform(self):
         rng = np.random.default_rng(22)
-        rs = [random_initial_params(rng)[0].r for _ in range(10_000)]
+        rs = [random_initial_params(rng)[0] for _ in range(10_000)]
         assert abs(np.mean(rs) - 0.5) < 0.02

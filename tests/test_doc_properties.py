@@ -15,7 +15,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgan_sim import GameConfig, GeneratorParams, MeasurementParams, NoiseSettings
+from qgan_sim import GameConfig, NoiseSettings
 from qgan_sim.bloch import SIGMA_MODES
 from qgan_sim.harness import (
     ExperimentSpec,
@@ -66,10 +66,7 @@ fixed_vectors = st.builds(
 sigmas = st.sampled_from([m for m in SIGMA_MODES if m != "fixed"]).map(SigmaSpec) | (
     fixed_vectors.map(lambda v: SigmaSpec("fixed", v))
 )
-initials = st.none() | st.tuples(
-    st.builds(GeneratorParams, unit, angles, angles),
-    st.builds(MeasurementParams, angles, angles),
-)
+initials = st.none() | st.tuples(unit, angles, angles, angles, angles)
 specs = st.builds(ExperimentSpec, game=configs, sigma=sigmas, initial=initials)
 
 

@@ -17,6 +17,7 @@ from qgan_sim import (
     finite_diff_gradient,
     measurement_axis,
     run_game,
+    random_true_state,
     run_turn,
     shots_consumed,
     state_bloch,
@@ -156,9 +157,7 @@ class TestRunTurn:
     def test_d_turn_on_identical_states_stalls_flat(self):
         cfg = exact_config()
         rng = np.random.default_rng(2)
-        gen = GeneratorParams(1, 0, 0)
-        meas = MeasurementParams(1.1, 0.4)
-        _, _, records, c, out = run_turn(D_TURN, 1, gen, meas, GROUND, cfg, rng)
+        _, records, c, out = run_turn(D_TURN, 1, (1.0, 0.0, 0.0, 1.1, 0.4), GROUND, cfg, rng)
         assert len(records) == cfg.stall_window
         assert all(abs(r.estimate.d_hat) < 1e-9 for r in records)
         assert abs(out.d_hat) < 1e-9
@@ -169,8 +168,7 @@ class TestRunTurn:
         cfg = exact_config()
         rng = np.random.default_rng(3)
         gen = GeneratorParams(0.5, 0.3, 0.9)
-        meas = MeasurementParams(2.5, 1.0)
-        _, best_meas, records, _, out = run_turn(D_TURN, 1, gen, meas, GROUND, cfg, rng)
+        _, records, _, out = run_turn(D_TURN, 1, (*gen, 2.5, 1.0), GROUND, cfg, rng)
         td = trace_distance(DensityMatrix.from_bloch(state_bloch(gen)), GROUND)
         assert td == pytest.approx(0.5, abs=1e-12)
         assert out.d_hat == pytest.approx(td, abs=0.02)
@@ -179,12 +177,11 @@ class TestRunTurn:
     def test_d_turn_returns_best_visited_axis(self):
         cfg = exact_config()
         rng = np.random.default_rng(4)
-        gen = GeneratorParams(0.5, 0.3, 0.9)
-        _, best_meas, records, _, out = run_turn(
-            D_TURN, 1, gen, MeasurementParams(2.5, 1.0), GROUND, cfg, rng
-        )
+        p = (0.5, 0.3, 0.9, 2.5, 1.0)
+        best, records, _, out = run_turn(D_TURN, 1, p, GROUND, cfg, rng)
         best_rec = max(records, key=lambda r: r.estimate.d_hat)
-        assert (best_meas.beta, best_meas.gamma) == best_rec.params_after[3:]
+        assert best[:3] == p[:3]
+        assert best[3:] == best_rec.params_after[3:]
         assert out is best_rec.estimate
 
     def test_g_turn_skips_when_entering_below_threshold(self):
@@ -192,15 +189,12 @@ class TestRunTurn:
         # already below the round-1 threshold of 0.045.
         cfg = exact_config()
         rng = np.random.default_rng(5)
-        gen = GeneratorParams(1, math.pi / 2, 0)
-        meas = MeasurementParams(0, 0)
-        entering = estimate_d(gen, meas, GROUND, None)
+        p = (1.0, math.pi / 2, 0.0, 0.0, 0.0)
+        entering = estimate_d(p[:3], p[3:], GROUND, None)
         assert entering.d_hat == pytest.approx(-0.5, abs=1e-12)
-        gen2, meas2, records, c, out = run_turn(
-            G_TURN, 1, gen, meas, GROUND, cfg, rng, entering=entering
-        )
+        p2, records, c, out = run_turn(G_TURN, 1, p, GROUND, cfg, rng, entering=entering)
         assert records == [] and c == 0
-        assert (gen2, meas2, out) == (gen, meas, entering)
+        assert (p2, out) == (p, entering)
         assert out.d_hat < cfg.g_threshold(1) == 0.045
 
     def test_g_turn_descends_below_round_threshold(self):
@@ -214,8 +208,8 @@ class TestRunTurn:
             meas = MeasurementParams(math.pi, 0.3)
             entering = estimate_d(gen, meas, GROUND, None)
         assert entering.d_hat >= cfg.g_threshold(1)
-        _, _, records, _, out = run_turn(
-            G_TURN, 1, gen, meas, GROUND, cfg, rng, entering=entering
+        _, records, _, out = run_turn(
+            G_TURN, 1, (*gen, *meas), GROUND, cfg, rng, entering=entering
         )
         assert records
         assert out.d_hat < cfg.g_threshold(1)
@@ -223,25 +217,22 @@ class TestRunTurn:
     def test_g_turn_requires_entering_estimate(self):
         with pytest.raises(ValueError, match="entering"):
             run_turn(
-                G_TURN, 1, GeneratorParams(1, 0, 0), MeasurementParams(0, 0),
-                GROUND, exact_config(), np.random.default_rng(0),
+                G_TURN, 1, (1.0, 0.0, 0.0, 0.0, 0.0), GROUND, exact_config(),
+                np.random.default_rng(0),
             )
 
     def test_turn_respects_step_cap(self):
         cfg = exact_config(per_turn_cap=4, count_per_partial=True)
         rng = np.random.default_rng(7)
-        gen = GeneratorParams(0.5, 0.3, 0.9)
-        _, _, records, c, _ = run_turn(
-            D_TURN, 1, gen, MeasurementParams(2.5, 1.0), GROUND, cfg, rng
-        )
+        _, records, c, _ = run_turn(D_TURN, 1, (0.5, 0.3, 0.9, 2.5, 1.0), GROUND, cfg, rng)
         assert len(records) == 2  # two partials per iteration, cap 4 steps
         assert c == 4
 
     def test_rejects_unknown_turn(self):
         with pytest.raises(ValueError, match="turn"):
             run_turn(
-                "X", 1, GeneratorParams(1, 0, 0), MeasurementParams(0, 0),
-                GROUND, exact_config(), np.random.default_rng(0),
+                "X", 1, (1.0, 0.0, 0.0, 0.0, 0.0), GROUND, exact_config(),
+                np.random.default_rng(0),
             )
 
     def test_d_turn_monotone_ascent_with_small_step(self):
@@ -251,17 +242,14 @@ class TestRunTurn:
         for seed in range(50):
             rng = np.random.default_rng(900 + seed)
             sigma = DensityMatrix(oracles.random_density(rng))
-            gen, meas = (
-                GeneratorParams(
-                    float(rng.uniform(0, 1)),
-                    float(rng.uniform(0, math.pi)),
-                    float(rng.uniform(0, 2 * math.pi)),
-                ),
-                MeasurementParams(
-                    float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
-                ),
+            p = (
+                float(rng.uniform(0, 1)),
+                float(rng.uniform(0, math.pi)),
+                float(rng.uniform(0, 2 * math.pi)),
+                float(rng.uniform(0, math.pi)),
+                float(rng.uniform(0, 2 * math.pi)),
             )
-            _, _, records, _, _ = run_turn(D_TURN, 1, gen, meas, sigma, cfg, rng)
+            _, records, _, _ = run_turn(D_TURN, 1, p, sigma, cfg, rng)
             ds = [r.estimate.d_hat for r in records]
             for a, b in zip(ds, ds[1:]):
                 assert b >= a - 1e-9
@@ -324,10 +312,35 @@ class TestRunGame:
         assert a == b
 
     def test_fixed_initial_overrides_random_draw(self):
-        initial = (GeneratorParams(0.9, 1.0, 0.0), MeasurementParams(0.5, 0.5))
+        initial = (0.9, 1.0, 0.0, 0.5, 0.5)
         a = run_game(GROUND, exact_config(seed=1), initial=initial)
         b = run_game(GROUND, exact_config(seed=2), initial=initial)
         assert a.steps[0].params_after == b.steps[0].params_after
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            ((1.5, 1.0, 0.3, 0.5, 0.5), r"r must be in \[0, 1\], got 1.5"),
+            ((0.6, math.inf, 0.3, 0.5, 0.5), "theta, phi, beta and gamma must be finite"),
+            ((0.6, 1.0, 0.3, math.nan, 0.5), "theta, phi, beta and gamma must be finite"),
+            ((0.6, 1.0, 0.3, 0.5), r"initial must be \(r, theta, phi, beta, gamma\)"),
+            (
+                (GeneratorParams(0.6, 1.0, 0.3), MeasurementParams(0.5, 0.5)),
+                r"initial must be \(r, theta, phi, beta, gamma\), got \(GeneratorParams",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("exact_mode", [True, False])
+    def test_bad_initial_is_named_before_any_draw(self, initial, message, exact_mode):
+        # On a mixed sigma the ideal fidelity of r = 1.5 or theta = inf fails
+        # with its own message, so the estimator must see the point first;
+        # an opening of the wrong length, such as the parameter-object pair,
+        # never reaches it.
+        sigma = random_true_state("bloch-ball", np.random.default_rng(3))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            run_game(sigma, GameConfig(exact_mode=exact_mode, seed=0), rng=rng, initial=initial)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_step_counting_per_partial(self):
         trace = run_game(GROUND, exact_config(seed=5, count_per_partial=True))

@@ -62,7 +62,7 @@ class TestLoadExperiment:
         assert spec.game.shots == 1234
         assert spec.game.noise.depolarizing_eps == 0.05
         assert spec.sigma.bloch == (0.2, -0.1, 0.4)
-        assert spec.initial[0].r == 0.8
+        assert spec.initial[0] == 0.8
 
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError, match="shotz"):
@@ -635,3 +635,21 @@ class TestMalformedDocuments:
         doc["config"]["learning_rate"] = "fast"
         with pytest.raises(ConfigError, match="learning_rate"):
             trace_from_doc(doc)
+        # The writer writes every field, noise's too, and never a sigma or an
+        # initial block, so the reader fills in no default and takes neither.
+        doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
+        doc["config"] = {}
+        with pytest.raises(ConfigError, match=r"^config: 'shots' is required$"):
+            trace_from_doc(doc)
+        for name in [*vars(GameConfig()), *vars(NoiseSettings())]:
+            doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
+            block = doc["config"] if name in doc["config"] else doc["config"]["noise"]
+            where = "config" if block is doc["config"] else "noise"
+            del block[name]
+            with pytest.raises(ConfigError, match=rf"^{where}: '{name}' is required$"):
+                trace_from_doc(doc)
+        for name, block in (("sigma", {"mode": "pure-ground"}), ("initial", None)):
+            doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
+            doc["config"][name] = block
+            with pytest.raises(ConfigError, match=rf"^{name}: unknown field$"):
+                trace_from_doc(doc)
