@@ -420,6 +420,7 @@ def _sigma_from_doc(where: str, doc) -> DensityMatrix:
 # sigma.bloch is written for readers of the file; the matrix defines the state.
 _SIGMA_KINDS = {"matrix": list[list[tuple[float, float]]], "bloch": tuple[float, float, float]}
 
+
 def _config_from_doc(where: str, doc) -> GameConfig:
     """A result document's config block, named as in a config file, but whole:
     the writer writes every field, noise's too, and no sigma or initial."""
