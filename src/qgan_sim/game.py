@@ -222,13 +222,15 @@ def run_turn(
     entirely if ``entering`` is already below it.  Both stop unconditionally
     once the turn has consumed ``per_turn_cap`` steps.
 
-    Takes and returns the flat tuple p = (r, theta, phi, beta, gamma); also
-    returns the step records appended by this turn, the advanced global step
-    counter, and the estimate describing the returned p (D: its best; G: its
-    last, or ``entering`` and ``p`` unchanged for a skipped turn).
+    Takes the flat p = (r, theta, phi, beta, gamma) as any sequence and
+    returns it as a tuple; also returns the step records appended by this
+    turn, the advanced global step counter, and the estimate describing the
+    returned p (D: its best; G: its last, or ``entering`` and ``p``
+    unchanged for a skipped turn).
     """
     if turn not in _ACTIVE:
         raise ValueError(f"turn must be {D_TURN!r} or {G_TURN!r}, got {turn!r}")
+    p = tuple(p)
     # The player is resolved once.  D ascends along the normalized gradient:
     # a fixed step length keeps the axis re-aligning even when |grad| ~ trace
     # distance is small, so its turn genuinely ends near the trace-distance

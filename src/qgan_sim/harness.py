@@ -239,7 +239,7 @@ def resolve_seed(cli_seed: int | None, config_seed: int | None, env=os.environ) 
     raise ConfigError(SEED_ENV_VAR, f"expected a non-negative integer, got {raw!r}")
 
 
-def load_experiment(doc: dict, seed_override: int | None = None, env=os.environ) -> ExperimentSpec:
+def load_experiment(doc: dict, seed_override: int | None = None) -> ExperimentSpec:
     """Validate a config document into an ExperimentSpec.
 
     Raises ConfigError naming the offending field.  Unknown fields are
@@ -247,7 +247,7 @@ def load_experiment(doc: dict, seed_override: int | None = None, env=os.environ)
     """
     kwargs = _fields("", doc, _CONFIG_KINDS)
     blocks = {name: kwargs.pop(name) for name in ("sigma", "initial") if name in kwargs}
-    kwargs["seed"] = resolve_seed(seed_override, kwargs.get("seed"), env)
+    kwargs["seed"] = resolve_seed(seed_override, kwargs.get("seed"))
     return ExperimentSpec(game=_build("config", GameConfig, **kwargs), **blocks)
 
 

@@ -5,18 +5,26 @@ A config document emitted for a spec reads back to the same spec, a result
 document re-parsed from its JSON text gives back the same trace, and a batch
 plays the same games in parallel as serially, game k being the single game
 at seed + k. A document with any one value replaced by a wrong one is read,
-or rejected with a ValueError naming that value's path.
+or rejected with a ValueError naming that value's path; fed to the CLI, a
+document with one fault anywhere exits 0, or 2 with a one-line message.
 """
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgan_sim import GameConfig, NoiseSettings
 from qgan_sim.bloch import SIGMA_MODES
+from qgan_sim.cli import main
 from qgan_sim.harness import (
     ExperimentSpec,
     SigmaSpec,
@@ -120,16 +128,20 @@ def test_batch_replays_serially_and_in_parallel(spec):
         assert trace == run_experiment(replace(spec, game=game))
 
 
-def _leaves(node, path=()):
-    """(path, value) for every value under ``node`` that is not a container."""
+def _nodes(node, path=()):
+    """(path, value) for ``node`` and every value under it."""
+    yield path, node
     if isinstance(node, dict):
         for key, child in node.items():
-            yield from _leaves(child, (*path, key))
+            yield from _nodes(child, (*path, key))
     elif isinstance(node, list):
         for index, child in enumerate(node):
-            yield from _leaves(child, (*path, index))
-    else:
-        yield path, node
+            yield from _nodes(child, (*path, index))
+
+
+def _leaves(node):
+    """(path, value) for every value under ``node`` that is not a container."""
+    return [(path, v) for path, v in _nodes(node) if not isinstance(v, (dict, list))]
 
 
 def _path_name(path) -> str:
@@ -188,3 +200,82 @@ def test_a_wrong_leaf_is_read_or_named():
                     if not _names_leaf(str(exc), path, kind):
                         unnamed.append((path, bad, str(exc)))
     assert not unnamed, unnamed[:5]
+
+
+# One fault at one place in a document: a key deleted or an unknown key
+# added, an array one item short or one item long, or a value of the wrong
+# type or out of range put in.
+BAD_VALUES = ("x", [], {}, True, None, math.nan, math.inf, -math.inf, 2**64)
+# A config leaf that bounds a game's length; 2**64 there would let a game
+# that never reaches equilibrium run on, so it is not put in.
+_LENGTH_BOUNDS = {("c_limit",), ("per_turn_cap",)}
+
+
+def _faults(doc, kind):
+    """Every (path, fault) the net puts into ``doc``."""
+    for path, node in _nodes(doc):
+        if path:
+            yield path, "delete"
+        if isinstance(node, dict) or (isinstance(node, list) and node):
+            yield path, "extend"
+        for bad in BAD_VALUES:
+            if not (kind == "config" and path in _LENGTH_BOUNDS and bad == 2**64):
+                yield path, bad
+
+
+def _with_fault(doc, path, fault):
+    root = [copy.deepcopy(doc)]
+    parent, last = root, 0
+    for part in path:
+        parent, last = parent[last], part
+    node = parent[last]
+    if fault == "delete":
+        del parent[last]
+    elif fault == "extend":
+        if isinstance(node, dict):
+            node["unknown"] = 0
+        else:
+            node.append(node[-1])
+    else:
+        parent[last] = fault
+    return root[0]
+
+
+@cache
+def _cli_cases():
+    """(kind, valid document, argv with {in} and {out} to fill, faults) for
+    each leg: a short noisy game's config and its result, and a three-game
+    summary."""
+    game = GameConfig(shots=50, c_limit=12, per_turn_cap=4, seed=5,
+                      noise=NoiseSettings.decoherence_preset())
+    spec = ExperimentSpec(game=game, sigma=SigmaSpec("fixed", (0.1, -0.2, 0.3)),
+                          initial=(0.8, 1.0, 2.0, 0.5, 0.25))
+    result = trace_to_doc(run_experiment(spec))
+    summary = summary_to_doc(summarize_batch(run_batch(spec, 3), spec))
+    cases = [
+        ("config", spec_to_doc(spec), ["run", "--config", "{in}", "--out", "{out}"]),
+        ("result", result, ["plot-data", "--kind", "tracking", "--in", "{in}", "--out", "{out}"]),
+        ("result", result,
+         ["plot-data", "--kind", "bloch-snapshots", "--in", "{in}", "--out", "{out}"]),
+        ("summary", summary, ["plot-data", "--kind", "cdf", "--in", "{in}", "--out", "{out}"]),
+    ]
+    return [(kind, doc, argv, list(_faults(doc, kind))) for kind, doc, argv in cases]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_cli_exits_cleanly_on_one_fault_anywhere(data):
+    kind, doc, argv, faults = data.draw(st.sampled_from(_cli_cases()))
+    path, fault = data.draw(st.sampled_from(faults))
+    with tempfile.TemporaryDirectory() as tmp:
+        infile, out = Path(tmp) / "in.json", Path(tmp) / "out"
+        infile.write_text(json.dumps(_with_fault(doc, path, fault)))
+        args = [arg.format_map({"in": infile, "out": out}) for arg in argv]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            status = main(args)
+    message = stderr.getvalue()
+    assert status in (0, 2), (kind, path, fault, status, message)
+    if status == 2:
+        assert message.startswith(("config error: ", "error: ")), message
+        assert message.count("\n") == 1 and message.endswith("\n"), message

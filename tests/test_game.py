@@ -214,6 +214,19 @@ class TestRunTurn:
         assert records
         assert out.d_hat < cfg.g_threshold(1)
 
+    def test_a_list_plays_as_the_tuple(self):
+        cfg = exact_config(per_turn_cap=300)
+        p = (1.0, 2.0, 0.3, math.pi, 0.3)
+        entering = estimate_d(p[:3], p[3:], GROUND, None)
+        assert entering.d_hat >= cfg.g_threshold(1)
+        for turn, kwargs in ((D_TURN, {}), (G_TURN, {"entering": entering})):
+            as_tuple, as_list = (
+                run_turn(turn, 1, q, GROUND, cfg, np.random.default_rng(8), **kwargs)
+                for q in (p, list(p))
+            )
+            assert as_tuple[1]
+            assert as_list == as_tuple
+
     def test_g_turn_requires_entering_estimate(self):
         with pytest.raises(ValueError, match="entering"):
             run_turn(

@@ -8,7 +8,7 @@ scalar fidelity against an eigendecomposition.  Two geometric invariants
 stand behind checks the estimator does not make: every measurement axis
 is a unit vector, and no noise map leaves the Bloch ball.  Every number a
 game records is a plain Python number, whichever way its true state was
-drawn.
+drawn, and its final fidelity is its last record's.
 """
 
 import copy
@@ -327,3 +327,6 @@ def test_game_records_only_plain_numbers(sigma, exact_mode, noise, branchwise, s
     trace = run_experiment(ExperimentSpec(game=game, sigma=sigma))
     kinds = {type(x) for x in _values(trace)}
     assert kinds <= {float, int, complex, bool, str, type(None)}, kinds
+    # The final fidelity comes through the object API, each record's through
+    # the float kernel; the two routes agree bit for bit.
+    assert trace.final_fidelity == trace.steps[-1].fidelity_ideal
