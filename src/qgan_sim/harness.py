@@ -457,18 +457,50 @@ def _unit_interval(where: str, value: float) -> None:
 def trace_from_doc(doc: dict) -> GameTrace:
     body = _body("result", RESULT_SCHEMA, doc)
     trace = GameTrace(**_fields("", body, _TRACE_KINDS, required=_TRACE_KINDS))
-    # What the game loop cannot write: an r or a fidelity outside [0, 1], or
-    # a step index that does not rise (snapshots look steps up by their index).
+    # What the game loop cannot write: no step (D records one in every game),
+    # estimates of another shot count than the config's, an r or a fidelity
+    # outside [0, 1], a step index that does not rise (snapshots look steps
+    # up by their index), a round that does not open at 1 or skips one, or a
+    # step total other than the last step's index.
+    steps = trace.steps
+    if not steps:
+        raise ConfigError("steps", "expected at least one step, got []")
+    shots = None if trace.config.exact_mode else trace.config.shots
+    if all(rec.estimate.shots != shots for rec in steps):  # then the config is named
+        got = steps[0].estimate.shots
+        field = "shots" if shots is not None and got is not None else "exact_mode"
+        raise ConfigError(
+            field,
+            f"{getattr(trace.config, field)!r} does not match any step's estimate.shots, "
+            f"the first being {got!r}",
+        )
     previous = None
-    for i, rec in enumerate(trace.steps):
-        if previous is not None and rec.step_index <= previous:
+    for i, rec in enumerate(steps):
+        if rec.estimate.shots != shots:
+            raise ConfigError(
+                f"steps[{i}].estimate.shots",
+                f"expected {shots!r} as in the config, got {rec.estimate.shots!r}",
+            )
+        if previous is not None and rec.step_index <= previous.step_index:
             raise ConfigError(
                 f"steps[{i}].step_index",
-                f"expected more than the previous step's {previous}, got {rec.step_index}",
+                f"expected more than the previous step's {previous.step_index}, "
+                f"got {rec.step_index}",
             )
-        previous = rec.step_index
+        rounds = (1,) if previous is None else (previous.round_index, previous.round_index + 1)
+        if rec.round_index not in rounds:
+            raise ConfigError(
+                f"steps[{i}].round_index",
+                f"expected {' or '.join(map(str, rounds))}, got {rec.round_index}",
+            )
+        previous = rec
         _unit_interval(f"steps[{i}].params_after[0]", rec.params_after[0])
         _unit_interval(f"steps[{i}].fidelity_ideal", rec.fidelity_ideal)
+    if trace.c_step_total != previous.step_index:
+        raise ConfigError(
+            "c_step_total",
+            f"expected the last step's {previous.step_index}, got {trace.c_step_total}",
+        )
     _unit_interval("final_fidelity", trace.final_fidelity)
     return trace
 

@@ -83,13 +83,18 @@ def _amplitude_damp(x: float, y: float, z: float, g: float) -> tuple[float, floa
     return k * x, k * y, (1.0 - g) * z + g
 
 
-def channel_xyz(settings: NoiseSettings, x: float, y: float, z: float) -> tuple[float, float, float]:
+def channel_xyz(
+    settings: NoiseSettings | None, x: float, y: float, z: float
+) -> tuple[float, float, float]:
     """The full channel (depolarize, then amplitude-damp) on plain floats.
 
     Shared by ``apply_noise`` and the estimator's float path, so both apply
-    the same operations in the same order; the caller decides whether the
-    channel applies at all (role, identity settings).
+    the same operations in the same order.  No settings, or zero strengths,
+    return ``(x, y, z)`` as given; the caller decides only whether the
+    channel applies to its role.
     """
+    if settings is None or settings.is_identity:
+        return x, y, z
     return _amplitude_damp(
         *_depolarize(x, y, z, settings.depolarizing_eps), settings.amplitude_damping_gamma
     )

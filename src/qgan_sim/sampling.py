@@ -75,15 +75,6 @@ def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
     return math.sqrt((p_rho * (1.0 - p_rho) + p_sigma * (1.0 - p_sigma)) / n)
 
 
-def _measured_xyz(
-    noise: NoiseSettings | None, x: float, y: float, z: float
-) -> tuple[float, float, float]:
-    # The generated state's vector after the channel.
-    if noise is None or noise.is_identity:
-        return x, y, z
-    return channel_xyz(noise, x, y, z)
-
-
 _new = object.__new__
 
 
@@ -147,7 +138,7 @@ def estimate_d(
             raise ValueError(f"r must be in [0, 1], got {r}")
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError("theta, phi, beta and gamma must be finite")
-        kept = (r, theta, phi, noise, *_measured_xyz(noise, *state_xyz(r, theta, phi)))
+        kept = (r, theta, phi, noise, *channel_xyz(noise, *state_xyz(r, theta, phi)))
         sigma._generated = kept
     axis = sigma._axis
     if not (axis is not None and axis[0] is beta and axis[1] is gamma and axis[2] is noise):
@@ -173,9 +164,9 @@ def estimate_d(
         # Physically faithful two-stage draw: pick the prepared branch per
         # shot, then the detection outcome.  Marginally identical to
         # Binomial(n, p_rho).
-        p_main = _probability(mx, my, mz, *_measured_xyz(noise, *axis_xyz(theta, phi)))
+        p_main = _probability(mx, my, mz, *channel_xyz(noise, *axis_xyz(theta, phi)))
         p_alt = _probability(
-            mx, my, mz, *_measured_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi))
+            mx, my, mz, *channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi))
         )
         k_main = rng.binomial(shots, r)
         hits = rng.binomial(k_main, p_main) if k_main > 0 else 0

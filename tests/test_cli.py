@@ -524,6 +524,25 @@ class TestRejectedInput:
                 "steps[1].step_index: expected more than the previous step's 2, got 1",
                 id="step_index-falls",
             ),
+            pytest.param(
+                "tracking", {("steps",): []}, "steps: expected at least one step, got []",
+                id="steps-empty",
+            ),
+            pytest.param(
+                "tracking", {("config", "exact_mode"): False},
+                "exact_mode: False does not match any step's estimate.shots, the first being None",
+                id="exact_mode-false-on-exact-steps",
+            ),
+            pytest.param(
+                "tracking", {("steps", 0, "round_index"): 2},
+                "steps[0].round_index: expected 1, got 2",
+                id="round_index-first-not-one",
+            ),
+            pytest.param(
+                "bloch-snapshots", {("steps", 1, "round_index"): 2**64},
+                "steps[1].round_index: expected 1 or 2, got 18446744073709551616",
+                id="round_index-2**64",
+            ),
         ],
     )
     def test_impossible_document_exits_2(self, config_path, tmp_path, capsys, kind, edits, message):
@@ -541,6 +560,64 @@ class TestRejectedInput:
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
         assert run_cli("plot-data", "--kind", kind, "--in", edited,
+                       "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    # A 50-shot game of six steps over two rounds: step indices 2, 4, 7, 10,
+    # 12 and 14, rounds 1, 1, 1, 1, 2 and 2.
+    SHOT_CONFIG = {"sigma": {"mode": "pure-ground"}, "shots": 50, "c_limit": 12,
+                   "per_turn_cap": 4, "seed": 1}
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            pytest.param(
+                {("steps", 2, "estimate", "shots"): None},
+                "steps[2].estimate.shots: expected 50 as in the config, got None",
+                id="shots-null-in-a-step",
+            ),
+            pytest.param(
+                {("steps", 2, "estimate", "shots"): 2**64},
+                "steps[2].estimate.shots: expected 50 as in the config, got 18446744073709551616",
+                id="shots-2**64-in-a-step",
+            ),
+            pytest.param(
+                {("config", "shots"): 60},
+                "shots: 60 does not match any step's estimate.shots, the first being 50",
+                id="config-shots-not-the-steps",
+            ),
+            pytest.param(
+                {("config", "exact_mode"): True},
+                "exact_mode: True does not match any step's estimate.shots, the first being 50",
+                id="exact_mode-true-on-shot-steps",
+            ),
+            pytest.param(
+                {("c_step_total",): 2**64},
+                "c_step_total: expected the last step's 14, got 18446744073709551616",
+                id="c_step_total-2**64",
+            ),
+            pytest.param(
+                {("steps", 4, "round_index"): 3},
+                "steps[4].round_index: expected 1 or 2, got 3",
+                id="round_index-skips-one",
+            ),
+        ],
+    )
+    def test_shot_result_at_odds_with_itself_exits_2(self, tmp_path, capsys, edits, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.SHOT_CONFIG))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", config, "--out", out) == 0
+        doc = json.loads((out / "result.json").read_text())
+        for (*parents, last), value in edits.items():
+            target = doc
+            for step in parents:
+                target = target[step]
+            target[last] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        assert run_cli("plot-data", "--kind", "tracking", "--in", edited,
                        "--out", tmp_path / "x.csv") == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "x.csv").exists()

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import stat
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,13 @@ from qgan_sim.harness import (
     SNAPSHOTS_HEADER,
     TRACKING_HEADER,
     TRAJECTORY_HEADER,
+    ExperimentSpec,
     GameOutcome,
     SigmaSpec,
     load_experiment,
     resolve_seed,
     run_batch,
+    spec_to_doc,
     summarize_batch,
     summary_from_doc,
     summary_to_doc,
@@ -48,6 +52,12 @@ class TestLoadExperiment:
         assert spec.game == GameConfig(seed=0)
         assert spec.sigma == SigmaSpec()
         assert spec.initial is None
+
+    def test_readme_config_block_holds_the_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config file", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(re.sub(r"//.*", "", block))
+        assert doc == {**spec_to_doc(ExperimentSpec(GameConfig())), "initial": None}
 
     def test_full_document(self):
         doc = {

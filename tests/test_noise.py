@@ -15,6 +15,7 @@ from qgan_sim import (
     depolarize,
     estimate_d,
 )
+from qgan_sim.noise import channel_xyz
 
 
 class TestDepolarize:
@@ -77,6 +78,14 @@ class TestNoiseSettings:
         preset = NoiseSettings.decoherence_preset()
         assert preset.depolarizing_eps == preset.amplitude_damping_gamma == 0.08
         assert preset.apply_to == "both"
+
+
+class TestChannelXyz:
+    def test_no_settings_and_identity_settings_pass_through(self):
+        xyz = (0.3, -0.0, -0.0)
+        for settings in (None, NoiseSettings()):
+            out = channel_xyz(settings, *xyz)
+            assert [c.hex() for c in out] == [c.hex() for c in xyz]
 
 
 class TestApplyNoise:
