@@ -24,7 +24,10 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .bloch import _BALL_TOL, DensityMatrix, SIGMA_MODES, axis_xyz, random_true_state, state_xyz
-from .game import PARAM_NAMES, GameConfig, GameTrace, Params, Termination, run_game
+from .game import (
+    D_TURN, PARAM_NAMES, TERMINATION_BUDGET, TERMINATION_EQUILIBRIUM, GameConfig, GameTrace,
+    Params, Termination, run_game,
+)
 from .noise import NoiseSettings
 
 __all__ = [
@@ -133,8 +136,10 @@ def _coerce(field_name: str, value, kind):
             raise ConfigError(field_name, f"expected an object, got {value!r}")
         if kind is dict:  # a block taken as read
             return value
-        # JSON object keys are strings
-        return {k: _coerce(f"{field_name}.{k}", v, args[1]) for k, v in value.items()}
+        return {
+            _coerce(f"{field_name}.{k}", k, args[0]): _coerce(f"{field_name}.{k}", v, args[1])
+            for k, v in value.items()
+        }
     if origin is Literal:
         if value not in args:
             raise ConfigError(field_name, f"expected one of {args}, got {value!r}")
@@ -332,7 +337,7 @@ class BatchSummary:
     mean_fidelity: float
     cdf_c_step: list[tuple[float, float]]
     cdf_fidelity: list[tuple[float, float]]
-    termination_counts: dict[str, int]
+    termination_counts: dict[Termination, int]
     config_echo: dict
 
 
@@ -348,7 +353,7 @@ def summarize_batch(
         raise ValueError("no traces to summarize")
     c_steps = [t.c_step_total for t in traces]
     fids = [t.final_fidelity for t in traces]
-    counts: dict[str, int] = {}
+    counts: dict[Termination, int] = {}
     for t in traces:
         counts[t.termination] = counts.get(t.termination, 0) + 1
     return BatchSummary(
@@ -412,12 +417,17 @@ def _body(kind: str, schema: str, doc) -> dict:
 
 
 def _sigma_from_doc(where: str, doc) -> DensityMatrix:
-    block = _fields(where, doc, _SIGMA_KINDS, required={"matrix"})
+    block = _fields(where, doc, _SIGMA_KINDS, required=_SIGMA_KINDS)
     rows = [[complex(re, im) for re, im in row] for row in block["matrix"]]
-    return _build(f"{where}.matrix", DensityMatrix, rows)
+    sigma = _build(f"{where}.matrix", DensityMatrix, rows)
+    v = sigma.to_bloch()
+    if block["bloch"] != (v.x, v.y, v.z):
+        got = list(block["bloch"])
+        raise ConfigError(f"{where}.bloch", f"expected the matrix's {[v.x, v.y, v.z]}, got {got}")
+    return sigma
 
 
-# sigma.bloch is written for readers of the file; the matrix defines the state.
+# The matrix defines the state; bloch, written for readers of the file, is its vector.
 _SIGMA_KINDS = {"matrix": list[list[tuple[float, float]]], "bloch": tuple[float, float, float]}
 
 
@@ -460,8 +470,8 @@ def trace_from_doc(doc: dict) -> GameTrace:
     # What the game loop cannot write: no step (D records one in every game),
     # estimates of another shot count than the config's, an r or a fidelity
     # outside [0, 1], a step index that does not rise (snapshots look steps
-    # up by their index), a round that does not open at 1 or skips one, or a
-    # step total other than the last step's index.
+    # up by their index), or a round that does not open at 1 or skips one.
+    # What run_game derives from the steps is derived again and compared.
     steps = trace.steps
     if not steps:
         raise ConfigError("steps", "expected at least one step, got []")
@@ -496,12 +506,26 @@ def trace_from_doc(doc: dict) -> GameTrace:
         previous = rec
         _unit_interval(f"steps[{i}].params_after[0]", rec.params_after[0])
         _unit_interval(f"steps[{i}].fidelity_ideal", rec.fidelity_ideal)
-    if trace.c_step_total != previous.step_index:
+    for name, field in (("c_step_total", "step_index"), ("final_fidelity", "fidelity_ideal")):
+        want, got = getattr(previous, field), getattr(trace, name)
+        if got != want:
+            raise ConfigError(name, f"expected the last step's {want}, got {got}")
+    # run_game's stop rule: equilibrium when the game ends on D's turn and
+    # the best d_hat of that turn is below d_bound; else the budget ran out.
+    config = trace.config
+    last_turn = (rec.estimate.d_hat for rec in steps
+                 if rec.turn == D_TURN and rec.round_index == previous.round_index)
+    equilibrium = previous.turn == D_TURN and max(last_turn) < config.d_bound
+    want = TERMINATION_EQUILIBRIUM if equilibrium else TERMINATION_BUDGET
+    if trace.termination != want:
         raise ConfigError(
-            "c_step_total",
-            f"expected the last step's {previous.step_index}, got {trace.c_step_total}",
+            "termination", f"expected {want!r} by the last turn, got {trace.termination!r}"
         )
-    _unit_interval("final_fidelity", trace.final_fidelity)
+    if not equilibrium and trace.c_step_total < config.c_limit:
+        raise ConfigError(
+            "termination",
+            f"{want!r} needs c_step_total >= c_limit, got {trace.c_step_total} < {config.c_limit}",
+        )
     return trace
 
 
@@ -511,8 +535,9 @@ def summary_to_doc(summary: BatchSummary) -> dict:
 
 def summary_from_doc(doc: dict) -> BatchSummary:
     summary = _coerce("", _body("summary", SUMMARY_SCHEMA, doc), BatchSummary)
-    # Each CDF as _empirical_cdf writes it: one pair per game, values that
-    # never fall, probabilities rising strictly within (0, 1] up to 1.
+    # What summarize_batch derives from the games is derived again from the
+    # CDF values and compared; mean_fidelity is not, since summing the sorted
+    # values can round differently from summing them in game order.
     if summary.games < 1:
         raise ConfigError("games", f"expected at least 1, got {summary.games}")
     for name in ("cdf_c_step", "cdf_fidelity"):
@@ -521,24 +546,23 @@ def summary_from_doc(doc: dict) -> BatchSummary:
             raise ConfigError(
                 name, f"expected one pair per game ({summary.games}), got {len(pairs)}"
             )
-        last_v, last_p = -math.inf, 0.0
-        for i, (v, p) in enumerate(pairs):
-            if v < last_v:
-                raise ConfigError(
-                    f"{name}[{i}]", f"value {v!r} falls below the previous {last_v!r}"
-                )
-            if not last_p < p <= 1.0:
-                raise ConfigError(
-                    f"{name}[{i}]",
-                    f"cumulative probability {p!r} must rise strictly from {last_p!r} "
-                    "within (0, 1]",
-                )
-            last_v, last_p = v, p
-        if last_p != 1.0:
-            raise ConfigError(
-                f"{name}[{len(pairs) - 1}]",
-                f"the last cumulative probability must be 1, got {last_p!r}",
-            )
+        for i, (got, want) in enumerate(zip(pairs, _empirical_cdf([v for v, _ in pairs]))):
+            if got != want:
+                raise ConfigError(f"{name}[{i}]", f"expected {list(want)}, got {list(got)}")
+    counts = summary.termination_counts
+    for key, count in counts.items():
+        if count < 1:
+            raise ConfigError(f"termination_counts.{key}", f"expected at least 1, got {count}")
+    if sum(counts.values()) != summary.games:
+        raise ConfigError(
+            "termination_counts",
+            f"expected counts summing to games ({summary.games}), got {sum(counts.values())}",
+        )
+    mean = float(np.mean([v for v, _ in summary.cdf_c_step]))
+    if summary.mean_c_step != mean:
+        raise ConfigError(
+            "mean_c_step", f"expected cdf_c_step's mean {mean}, got {summary.mean_c_step}"
+        )
     return summary
 
 

@@ -26,6 +26,25 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+DELETE = object()  # an edit value that deletes its key
+
+
+def write_edited(source, edits, path):
+    """Write ``source``'s JSON document to ``path`` with each value at an
+    edited key path replaced (or, for DELETE, deleted); return ``path``."""
+    doc = json.loads(source.read_text())
+    for (*parents, last), value in edits.items():
+        target = doc
+        for step in parents:
+            target = target[step]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestRunCommand:
     def test_writes_trajectory_and_result(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -437,37 +456,64 @@ class TestRejectedInput:
         [
             pytest.param(
                 "cdf", {("cdf_fidelity",): [[0.9, 0.8], [0.5, 0.1], [0.99, -0.5]]},
-                "cdf_fidelity[1]: value 0.5 falls below the previous 0.9",
+                "cdf_fidelity[0]: expected [0.5, 0.3333333333333333], got [0.9, 0.8]",
                 id="cdf-value-falls",
             ),
             pytest.param(
                 "cdf", {("cdf_fidelity",): [[0.5, 0.5], [0.6, 0.4], [0.7, 1.0]]},
-                "cdf_fidelity[1]: cumulative probability 0.4 must rise strictly from 0.5"
-                " within (0, 1]",
+                "cdf_fidelity[0]: expected [0.5, 0.3333333333333333], got [0.5, 0.5]",
                 id="cdf-probability-falls",
             ),
             pytest.param(
                 "cdf", {("cdf_fidelity",): [[0.5, 0.5], [0.6, 0.5], [0.7, 1.0]]},
-                "cdf_fidelity[1]: cumulative probability 0.5 must rise strictly from 0.5"
-                " within (0, 1]",
+                "cdf_fidelity[0]: expected [0.5, 0.3333333333333333], got [0.5, 0.5]",
                 id="cdf-probability-repeats",
             ),
             pytest.param(
                 "cdf", {("cdf_fidelity",): [[0.5, 0.0], [0.6, 0.5], [0.7, 1.0]]},
-                "cdf_fidelity[0]: cumulative probability 0.0 must rise strictly from 0.0"
-                " within (0, 1]",
+                "cdf_fidelity[0]: expected [0.5, 0.3333333333333333], got [0.5, 0.0]",
                 id="cdf-probability-zero",
             ),
             pytest.param(
                 "cdf", {("cdf_fidelity",): [[0.5, 0.5], [0.6, 1.5], [0.7, 2.0]]},
-                "cdf_fidelity[1]: cumulative probability 1.5 must rise strictly from 0.5"
-                " within (0, 1]",
+                "cdf_fidelity[0]: expected [0.5, 0.3333333333333333], got [0.5, 0.5]",
                 id="cdf-probability-above-one",
             ),
             pytest.param(
                 "cdf", {("cdf_fidelity",): [[0.5, 0.2], [0.6, 0.4], [0.7, 0.9]]},
-                "cdf_fidelity[2]: the last cumulative probability must be 1, got 0.9",
+                "cdf_fidelity[0]: expected [0.5, 0.3333333333333333], got [0.5, 0.2]",
                 id="cdf-last-probability-not-one",
+            ),
+            pytest.param(
+                "cdf", {("cdf_fidelity",): [[0.5, 0.1], [0.6, 0.2], [0.7, 1.0]]},
+                "cdf_fidelity[0]: expected [0.5, 0.3333333333333333], got [0.5, 0.1]",
+                id="cdf-probabilities-not-the-ranks",
+            ),
+            pytest.param(
+                "cdf", {("cdf_fidelity",): [[0.5, 1 / 3], [0.6, 0.5], [0.7, 1.0]]},
+                "cdf_fidelity[1]: expected [0.6, 0.6666666666666666], got [0.6, 0.5]",
+                id="cdf-second-probability-not-its-rank",
+            ),
+            pytest.param(
+                "cdf", {("termination_counts",): {"equilibrium": 999}},
+                "termination_counts: expected counts summing to games (3), got 999",
+                id="termination_counts-not-games",
+            ),
+            pytest.param(
+                "cdf", {("termination_counts",): {"bogus": 3}},
+                "termination_counts.bogus: expected one of ('equilibrium', 'budget-exhausted'),"
+                " got 'bogus'",
+                id="termination_counts-unknown-key",
+            ),
+            pytest.param(
+                "cdf", {("termination_counts", "equilibrium"): 0},
+                "termination_counts.equilibrium: expected at least 1, got 0",
+                id="termination_counts-zero",
+            ),
+            pytest.param(
+                "cdf", {("mean_c_step",): -5.0},
+                "mean_c_step: expected cdf_c_step's mean 97.33333333333333, got -5.0",
+                id="mean_c_step-not-the-cdf-mean",
             ),
             pytest.param(
                 "cdf", {("games",): 7},
@@ -491,8 +537,28 @@ class TestRejectedInput:
             ),
             pytest.param(
                 "tracking", {("final_fidelity",): 1.5},
-                "final_fidelity: expected a number in [0, 1], got 1.5",
+                "final_fidelity: expected the last step's 0.9958614675252743, got 1.5",
                 id="final_fidelity-above-one",
+            ),
+            pytest.param(
+                "tracking", {("final_fidelity",): 0.25},
+                "final_fidelity: expected the last step's 0.9958614675252743, got 0.25",
+                id="final_fidelity-not-the-last-step",
+            ),
+            pytest.param(
+                "tracking", {("termination",): "equilibrium"},
+                "termination: expected 'budget-exhausted' by the last turn, got 'equilibrium'",
+                id="termination-flipped-after-g",
+            ),
+            pytest.param(
+                "bloch-snapshots", {("sigma", "bloch"): [0.6, 0.0, 0.0]},
+                "sigma.bloch: expected the matrix's [0.0, -0.0, 1.0], got [0.6, 0.0, 0.0]",
+                id="sigma-bloch-not-the-matrix",
+            ),
+            pytest.param(
+                "bloch-snapshots", {("sigma", "bloch"): DELETE},
+                "sigma: 'bloch' is required",
+                id="sigma-bloch-deleted",
             ),
             pytest.param(
                 "tracking", {("steps", 1, "params_after", 0): 1.5},
@@ -550,18 +616,27 @@ class TestRejectedInput:
         assert run_cli("batch", "--config", config_path, "--out", out, "--n", "3",
                        "--emit-traces") == 0
         name = "summary.json" if kind == "cdf" else "traces/game_0000.json"
-        doc = json.loads((out / name).read_text())
-        for path, value in edits.items():
-            *parents, last = path
-            target = doc
-            for step in parents:
-                target = target[step]
-            target[last] = value
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(doc))
+        edited = write_edited(out / name, edits, tmp_path / "edited.json")
         assert run_cli("plot-data", "--kind", kind, "--in", edited,
                        "--out", tmp_path / "x.csv") == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_equilibrium_result_marked_budget_exhausted_exits_2(self, tmp_path, capsys):
+        # This game reaches equilibrium at step 60, on D's turn.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**FAST_CONFIG, "seed": 1}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", config, "--out", out) == 0
+        capsys.readouterr()
+        edited = write_edited(out / "result.json", {("termination",): "budget-exhausted"},
+                              tmp_path / "edited.json")
+        assert run_cli("plot-data", "--kind", "tracking", "--in", edited,
+                       "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == (
+            "config error: termination: expected 'equilibrium' by the last turn, "
+            "got 'budget-exhausted'\n"
+        )
         assert not (tmp_path / "x.csv").exists()
 
     # A 50-shot game of six steps over two rounds: step indices 2, 4, 7, 10,
@@ -602,6 +677,16 @@ class TestRejectedInput:
                 "steps[4].round_index: expected 1 or 2, got 3",
                 id="round_index-skips-one",
             ),
+            pytest.param(
+                {("termination",): "equilibrium"},
+                "termination: expected 'budget-exhausted' by the last turn, got 'equilibrium'",
+                id="termination-flipped-after-d",
+            ),
+            pytest.param(
+                {("config", "c_limit"): 15},
+                "termination: 'budget-exhausted' needs c_step_total >= c_limit, got 14 < 15",
+                id="c_limit-above-c_step_total",
+            ),
         ],
     )
     def test_shot_result_at_odds_with_itself_exits_2(self, tmp_path, capsys, edits, message):
@@ -609,14 +694,7 @@ class TestRejectedInput:
         config.write_text(json.dumps(self.SHOT_CONFIG))
         out = tmp_path / "out"
         assert run_cli("run", "--config", config, "--out", out) == 0
-        doc = json.loads((out / "result.json").read_text())
-        for (*parents, last), value in edits.items():
-            target = doc
-            for step in parents:
-                target = target[step]
-            target[last] = value
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(doc))
+        edited = write_edited(out / "result.json", edits, tmp_path / "edited.json")
         assert run_cli("plot-data", "--kind", "tracking", "--in", edited,
                        "--out", tmp_path / "x.csv") == 2
         assert capsys.readouterr().err == f"config error: {message}\n"

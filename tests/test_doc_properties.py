@@ -2,9 +2,10 @@
 promises.
 
 A config document emitted for a spec reads back to the same spec, a result
-document re-parsed from its JSON text gives back the same trace, and a batch
-plays the same games in parallel as serially, game k being the single game
-at seed + k. A document with any one value replaced by a wrong one is read,
+or summary document re-parsed from its JSON text gives back the same trace
+or summary (so every game the strategies draw meets the readers' rules),
+and a batch plays the same games in parallel as serially, game k being the
+single game at seed + k. A document with any one value replaced by a wrong one is read,
 or rejected with a ValueError naming that value's path; fed to the CLI, a
 document with one fault anywhere exits 0, or 2 with a one-line message.
 """
@@ -85,22 +86,6 @@ def test_config_document_reads_back_to_the_spec(spec):
     assert load_experiment(doc) == spec
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    mode=st.sampled_from([m for m in SIGMA_MODES if m != "fixed"]),
-    c_limit=st.integers(1, 30),
-    count_per_partial=st.booleans(),
-)
-def test_result_document_reparses_to_the_trace(seed, mode, c_limit, count_per_partial):
-    game = GameConfig(
-        exact_mode=True, c_limit=c_limit, count_per_partial=count_per_partial, seed=seed
-    )
-    trace = run_experiment(ExperimentSpec(game=game, sigma=SigmaSpec(mode)))
-    text = json.dumps(trace_to_doc(trace), indent=2, allow_nan=False)
-    assert trace_from_doc(json.loads(text)) == trace
-
-
 small_games = st.builds(
     GameConfig,
     shots=st.integers(1, 500),
@@ -115,6 +100,27 @@ small_games = st.builds(
     ),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=st.builds(ExperimentSpec, game=small_games, sigma=sigmas),
+    count_per_partial=st.booleans(),
+    per_turn_cap=st.integers(1, 50),
+)
+def test_result_document_reparses_to_the_trace(spec, count_per_partial, per_turn_cap):
+    game = replace(spec.game, count_per_partial=count_per_partial, per_turn_cap=per_turn_cap)
+    trace = run_experiment(replace(spec, game=game))
+    text = json.dumps(trace_to_doc(trace), indent=2, allow_nan=False)
+    assert trace_from_doc(json.loads(text)) == trace
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.builds(ExperimentSpec, game=small_games, sigma=sigmas), st.integers(1, 12))
+def test_summary_document_reparses_to_the_summary(spec, count):
+    summary = summarize_batch(run_batch(spec, count), spec)
+    text = json.dumps(summary_to_doc(summary), indent=2, allow_nan=False)
+    assert summary_from_doc(json.loads(text)) == summary
 
 
 # Each example starts at most two worker processes.
