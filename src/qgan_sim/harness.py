@@ -28,7 +28,6 @@ from .game import (
     D_TURN, PARAM_NAMES, TERMINATION_BUDGET, TERMINATION_EQUILIBRIUM, GameConfig, GameTrace,
     Params, Termination, run_game,
 )
-from .noise import NoiseSettings
 
 __all__ = [
     "ConfigError",
@@ -151,6 +150,10 @@ def _coerce(field_name: str, value, kind):
         return _build(field_name, kind, **_fields(field_name, value, kinds, required))
     if isinstance(kind, FunctionType):  # the parser of a nested block
         return kind(field_name, value)
+    if _writer(kind) is _sigma_to_doc:  # what the writer writes as a {matrix, bloch} block
+        block = _fields(field_name, value, _SIGMA_KINDS, required=_SIGMA_KINDS)
+        rows = [[complex(re, im) for re, im in row] for row in block["matrix"]]
+        return _build(f"{field_name}.matrix", DensityMatrix, rows)
     raise AssertionError(kind)
 
 
@@ -416,47 +419,24 @@ def _body(kind: str, schema: str, doc) -> dict:
     return {key: value for key, value in doc.items() if key != "schema"}
 
 
-def _sigma_from_doc(where: str, doc) -> DensityMatrix:
-    block = _fields(where, doc, _SIGMA_KINDS, required=_SIGMA_KINDS)
-    rows = [[complex(re, im) for re, im in row] for row in block["matrix"]]
-    sigma = _build(f"{where}.matrix", DensityMatrix, rows)
-    v = sigma.to_bloch()
-    if block["bloch"] != (v.x, v.y, v.z):
-        got = list(block["bloch"])
-        raise ConfigError(f"{where}.bloch", f"expected the matrix's {[v.x, v.y, v.z]}, got {got}")
-    return sigma
-
-
 # The matrix defines the state; bloch, written for readers of the file, is its vector.
 _SIGMA_KINDS = {"matrix": list[list[tuple[float, float]]], "bloch": tuple[float, float, float]}
 
 
-def _config_from_doc(where: str, doc) -> GameConfig:
-    """A result document's config block, named as in a config file, but whole:
-    the writer writes every field, noise's too, and no sigma or initial."""
-    block = _fields("", doc, _WRITTEN_CONFIG_KINDS)
-    missing = [name for name in _WRITTEN_CONFIG_KINDS if name not in block]
-    if missing:
-        raise ConfigError(where, f"{missing[0]!r} is required")
-    return _build(where, GameConfig, **block)
-
-
-_NOISE_KINDS = _kinds(NoiseSettings)[0]
-_WRITTEN_CONFIG_KINDS = {
-    **_kinds(GameConfig)[0],
-    "noise": lambda where, raw: _build(
-        where, NoiseSettings, **_fields(where, raw, _NOISE_KINDS, required=_NOISE_KINDS)
-    ),
-}
-
-# GameTrace's annotations, but steps is read first and config and sigma (from
-# its matrix) last: a bare document lacks 'steps' first.
-_TRACE_KINDS = {
-    "steps": _kinds(GameTrace)[0]["steps"],
-    **{n: kind for n, kind in _kinds(GameTrace)[0].items() if n not in ("config", "sigma")},
-    "config": _config_from_doc,
-    "sigma": _sigma_from_doc,
-}
+def _written_back(where: str, written, doc) -> None:
+    """Raise a ConfigError naming the first path, in field order, at which
+    ``doc`` differs from ``written``: a null or absent key where a value is
+    written is required, and any other value must equal the written one."""
+    if isinstance(written, dict):
+        for key, value in written.items():
+            if doc.get(key) is None and value is not None:
+                raise ConfigError(where or "document", f"{key!r} is required")
+            _written_back(f"{where}.{key}" if where else key, value, doc.get(key))
+    elif isinstance(written, list):  # as long as the array read: the walk kept its length
+        for i, (w, d) in enumerate(zip(written, doc)):
+            _written_back(f"{where}[{i}]", w, d)
+    elif written != doc:
+        raise ConfigError(where, f"expected {written!r}, got {doc!r}")
 
 
 def _unit_interval(where: str, value: float) -> None:
@@ -466,7 +446,10 @@ def _unit_interval(where: str, value: float) -> None:
 
 def trace_from_doc(doc: dict) -> GameTrace:
     body = _body("result", RESULT_SCHEMA, doc)
-    trace = GameTrace(**_fields("", body, _TRACE_KINDS, required=_TRACE_KINDS))
+    trace = _coerce("", body, GameTrace)
+    # Read as written: the writer must write the body back. So the config
+    # is whole, noise's too, and sigma's block is what its matrix writes.
+    _written_back("", _writer(GameTrace)(trace), body)
     # What the game loop cannot write: no step (D records one in every game),
     # estimates of another shot count than the config's, an r or a fidelity
     # outside [0, 1], a step index that does not rise (snapshots look steps
@@ -480,7 +463,7 @@ def trace_from_doc(doc: dict) -> GameTrace:
         got = steps[0].estimate.shots
         field = "shots" if shots is not None and got is not None else "exact_mode"
         raise ConfigError(
-            field,
+            f"config.{field}",
             f"{getattr(trace.config, field)!r} does not match any step's estimate.shots, "
             f"the first being {got!r}",
         )

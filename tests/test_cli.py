@@ -357,7 +357,7 @@ class TestRejectedInput:
         path.write_text(json.dumps({"schema": "qgan-sim/result/v1"}))
         assert run_cli("plot-data", "--kind", "tracking", "--in", path,
                        "--out", tmp_path / "x.csv") == 2
-        assert "'steps'" in capsys.readouterr().err
+        assert "'config'" in capsys.readouterr().err
 
     def test_unknown_config_key_in_result_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -427,6 +427,10 @@ class TestRejectedInput:
             pytest.param(
                 "cdf", ("games",), "x", "games: expected an integer, got 'x'",
                 id="games-string",
+            ),
+            pytest.param(
+                "tracking", ("config", "shots"), None, "config: 'shots' is required",
+                id="config-shots-null",
             ),
         ],
     )
@@ -552,13 +556,24 @@ class TestRejectedInput:
             ),
             pytest.param(
                 "bloch-snapshots", {("sigma", "bloch"): [0.6, 0.0, 0.0]},
-                "sigma.bloch: expected the matrix's [0.0, -0.0, 1.0], got [0.6, 0.0, 0.0]",
+                "sigma.bloch[0]: expected 0.0, got 0.6",
                 id="sigma-bloch-not-the-matrix",
             ),
             pytest.param(
                 "bloch-snapshots", {("sigma", "bloch"): DELETE},
                 "sigma: 'bloch' is required",
                 id="sigma-bloch-deleted",
+            ),
+            # Hermitian within the constructor's tolerance, but not as written.
+            pytest.param(
+                "bloch-snapshots", {("sigma", "matrix", 0, 0, 1): 1e-12},
+                "sigma.matrix[0][0][1]: expected 0.0, got 1e-12",
+                id="sigma-matrix-not-as-written",
+            ),
+            pytest.param(
+                "tracking", {("config", "noise", "apply_to"): DELETE},
+                "config.noise: 'apply_to' is required",
+                id="config-noise-apply_to-deleted",
             ),
             pytest.param(
                 "tracking", {("steps", 1, "params_after", 0): 1.5},
@@ -596,7 +611,8 @@ class TestRejectedInput:
             ),
             pytest.param(
                 "tracking", {("config", "exact_mode"): False},
-                "exact_mode: False does not match any step's estimate.shots, the first being None",
+                "config.exact_mode: False does not match any step's estimate.shots,"
+                " the first being None",
                 id="exact_mode-false-on-exact-steps",
             ),
             pytest.param(
@@ -659,12 +675,13 @@ class TestRejectedInput:
             ),
             pytest.param(
                 {("config", "shots"): 60},
-                "shots: 60 does not match any step's estimate.shots, the first being 50",
+                "config.shots: 60 does not match any step's estimate.shots, the first being 50",
                 id="config-shots-not-the-steps",
             ),
             pytest.param(
                 {("config", "exact_mode"): True},
-                "exact_mode: True does not match any step's estimate.shots, the first being 50",
+                "config.exact_mode: True does not match any step's estimate.shots,"
+                " the first being 50",
                 id="exact_mode-true-on-shot-steps",
             ),
             pytest.param(

@@ -152,10 +152,7 @@ def _leaves(node):
 
 def _path_name(path) -> str:
     """The name the readers give ``path``: ``steps[0].estimate.shots``, and
-    ``document`` for the whole. A result's config block is read as a config
-    file, whose fields are named without the ``config.`` prefix."""
-    if path[:1] == ("config",) and len(path) > 1:
-        path = path[1:]
+    ``document`` for the whole."""
     name = ""
     for part in path:
         name += f"[{part}]" if isinstance(part, int) else f".{part}" if name else part

@@ -556,7 +556,7 @@ class TestMalformedDocuments:
             summary_from_doc([])
 
     def test_missing_top_level_key_named(self):
-        with pytest.raises(ValueError, match="'steps'"):
+        with pytest.raises(ValueError, match="'config'"):
             trace_from_doc({"schema": harness_mod.RESULT_SCHEMA})
         with pytest.raises(ValueError, match="'games'"):
             summary_from_doc({"schema": harness_mod.SUMMARY_SCHEMA})
@@ -654,12 +654,12 @@ class TestMalformedDocuments:
         for name in [*vars(GameConfig()), *vars(NoiseSettings())]:
             doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
             block = doc["config"] if name in doc["config"] else doc["config"]["noise"]
-            where = "config" if block is doc["config"] else "noise"
+            where = "config" if block is doc["config"] else "config.noise"
             del block[name]
             with pytest.raises(ConfigError, match=rf"^{where}: '{name}' is required$"):
                 trace_from_doc(doc)
         for name, block in (("sigma", {"mode": "pure-ground"}), ("initial", None)):
             doc = trace_to_doc(run_experiment(fast_spec(seed=4)))
             doc["config"][name] = block
-            with pytest.raises(ConfigError, match=rf"^{name}: unknown field$"):
+            with pytest.raises(ConfigError, match=rf"^config\.{name}: unknown field$"):
                 trace_from_doc(doc)
