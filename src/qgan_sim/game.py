@@ -25,7 +25,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Literal, get_args
+from typing import Annotated, Literal, get_args
 
 import numpy as np
 
@@ -64,10 +64,13 @@ Termination = Literal["equilibrium", "budget-exhausted"]
 D_TURN, G_TURN = get_args(Turn)
 TERMINATION_EQUILIBRIUM, TERMINATION_BUDGET = get_args(Termination)
 
+# A number within the bounds (low, high), which the document reader checks.
+Unit = Annotated[float, (0, 1)]
+
 # The game carries both strategies as one flat tuple in this order, from
 # the opening move to the trace; each player varies its own slice of it.
 PARAM_NAMES = ("r", "theta", "phi", "beta", "gamma")
-Params = tuple[float, float, float, float, float]
+Params = tuple[Unit, float, float, float, float]
 _ACTIVE = {D_TURN: (3, 4), G_TURN: (0, 1, 2)}
 
 
@@ -138,6 +141,13 @@ class GameConfig:
             self.g_threshold_floor,
         )
 
+    def game_over(self, turn: Turn, d_hat: float, c: int) -> Termination | None:
+        """How a turn handing back ``d_hat`` at step count ``c`` ends the game, if it
+        does: equilibrium below ``d_bound`` on D's turn, else budget at ``c_limit``."""
+        if turn == D_TURN and d_hat < self.d_bound:
+            return TERMINATION_EQUILIBRIUM
+        return TERMINATION_BUDGET if c >= self.c_limit else None
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -153,7 +163,7 @@ class StepRecord:
     turn: Turn
     params_after: Params
     estimate: OutcomeEstimate
-    fidelity_ideal: float
+    fidelity_ideal: Unit
 
 
 @dataclass
@@ -310,7 +320,6 @@ def run_game(
     if len(p) != len(PARAM_NAMES):
         raise ValueError(f"initial must be ({', '.join(PARAM_NAMES)}), got {initial!r}")
     steps: list[StepRecord] = []
-    termination = TERMINATION_BUDGET
     last: OutcomeEstimate | None = None
     c = 0
     for round_index, turn in ((k, t) for k in count(1) for t in (D_TURN, G_TURN)):
@@ -321,10 +330,8 @@ def run_game(
         # D's turn hands back its best measured strategy; equilibrium is
         # judged on that optimized d, so shot noise cannot fake convergence
         # with one low sample.
-        if turn == D_TURN and last.d_hat < config.d_bound:
-            termination = TERMINATION_EQUILIBRIUM
-            break
-        if c >= config.c_limit:
+        termination = config.game_over(turn, last.d_hat, c)
+        if termination is not None:
             break
     return GameTrace(
         config=config,

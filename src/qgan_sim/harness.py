@@ -17,16 +17,17 @@ import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache
+from itertools import groupby
 from pathlib import Path
 from types import FunctionType, UnionType
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .bloch import _BALL_TOL, DensityMatrix, SIGMA_MODES, axis_xyz, random_true_state, state_xyz
 from .game import (
-    D_TURN, PARAM_NAMES, TERMINATION_BUDGET, TERMINATION_EQUILIBRIUM, GameConfig, GameTrace,
-    Params, Termination, run_game,
+    D_TURN, PARAM_NAMES, TERMINATION_BUDGET, GameConfig, GameTrace, Params, Termination, Unit,
+    run_game,
 )
 
 __all__ = [
@@ -123,6 +124,12 @@ def _coerce(field_name: str, value, kind):
             raise ConfigError(field_name, f"expected a string, got {value!r}")
         return value
     origin, args = get_origin(kind), get_args(kind)
+    if origin is Annotated:  # a number within (low, high), high None for no upper bound
+        number, (low, high) = _coerce(field_name, value, args[0]), args[1]
+        if not low <= number <= (math.inf if high is None else high):
+            within = f"at least {low}" if high is None else f"a number in [{low}, {high}]"
+            raise ConfigError(field_name, f"expected {within}, got {number!r}")
+        return number
     if origin is list or origin is tuple:
         if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
             what = f"an array of {len(args)} items" if origin is tuple else "an array"
@@ -164,7 +171,7 @@ def _kinds(cls) -> tuple[dict, frozenset]:
     required = frozenset(
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
     )
-    return get_type_hints(cls), required
+    return get_type_hints(cls, include_extras=True), required
 
 
 def _fields(where: str, doc, kinds: dict, required=frozenset()) -> dict:
@@ -209,13 +216,10 @@ def _parse_sigma(where: str, doc) -> SigmaSpec:
 
 
 def _parse_initial(where: str, doc) -> Params:
-    # Every field is a finite float (read as one), so only r's range is left.
-    block = _fields(where, doc, dict.fromkeys(PARAM_NAMES, float))
+    block = _fields(where, doc, dict(zip(PARAM_NAMES, get_args(Params))))
     missing = [name for name in PARAM_NAMES if name not in block]
     if missing:
         raise ConfigError(f"{where}.{missing[0]}", "required when initial is given")
-    if not 0.0 <= block["r"] <= 1.0:
-        raise ConfigError(f"{where}.r", f"r must be in [0, 1], got {block['r']}")
     return tuple(block[name] for name in PARAM_NAMES)
 
 
@@ -335,12 +339,12 @@ def run_batch(
 class BatchSummary:
     """Aggregate statistics over a batch of games."""
 
-    games: int
+    games: Annotated[int, (1, None)]
     mean_c_step: float
-    mean_fidelity: float
-    cdf_c_step: list[tuple[float, float]]
-    cdf_fidelity: list[tuple[float, float]]
-    termination_counts: dict[Termination, int]
+    mean_fidelity: Unit
+    cdf_c_step: list[tuple[Annotated[float, (1, None)], float]]  # D steps in every game
+    cdf_fidelity: list[tuple[Unit, float]]
+    termination_counts: dict[Termination, Annotated[int, (1, None)]]
     config_echo: dict
 
 
@@ -439,11 +443,6 @@ def _written_back(where: str, written, doc) -> None:
         raise ConfigError(where, f"expected {written!r}, got {doc!r}")
 
 
-def _unit_interval(where: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(where, f"expected a number in [0, 1], got {value!r}")
-
-
 def trace_from_doc(doc: dict) -> GameTrace:
     body = _body("result", RESULT_SCHEMA, doc)
     trace = _coerce("", body, GameTrace)
@@ -451,10 +450,10 @@ def trace_from_doc(doc: dict) -> GameTrace:
     # is whole, noise's too, and sigma's block is what its matrix writes.
     _written_back("", _writer(GameTrace)(trace), body)
     # What the game loop cannot write: no step (D records one in every game),
-    # estimates of another shot count than the config's, an r or a fidelity
-    # outside [0, 1], a step index that does not rise (snapshots look steps
-    # up by their index), or a round that does not open at 1 or skips one.
-    # What run_game derives from the steps is derived again and compared.
+    # estimates of another shot count than the config's, a step index that
+    # does not rise (snapshots look steps up by their index), or a round that
+    # does not open at 1 or skips one. What run_game derives from the steps
+    # is derived again and compared.
     steps = trace.steps
     if not steps:
         raise ConfigError("steps", "expected at least one step, got []")
@@ -487,24 +486,28 @@ def trace_from_doc(doc: dict) -> GameTrace:
                 f"expected {' or '.join(map(str, rounds))}, got {rec.round_index}",
             )
         previous = rec
-        _unit_interval(f"steps[{i}].params_after[0]", rec.params_after[0])
-        _unit_interval(f"steps[{i}].fidelity_ideal", rec.fidelity_ideal)
     for name, field in (("c_step_total", "step_index"), ("final_fidelity", "fidelity_ideal")):
         want, got = getattr(previous, field), getattr(trace, name)
         if got != want:
             raise ConfigError(name, f"expected the last step's {want}, got {got}")
-    # run_game's stop rule: equilibrium when the game ends on D's turn and
-    # the best d_hat of that turn is below d_bound; else the budget ran out.
-    config = trace.config
-    last_turn = (rec.estimate.d_hat for rec in steps
-                 if rec.turn == D_TURN and rec.round_index == previous.round_index)
-    equilibrium = previous.turn == D_TURN and max(last_turn) < config.d_bound
-    want = TERMINATION_EQUILIBRIUM if equilibrium else TERMINATION_BUDGET
+    # run_game's stop rule, asked after each turn (the steps of one round and
+    # player) as the game loop asks it: D's turn hands back its largest d_hat,
+    # G's its last. Only the last turn may end the game, as recorded.
+    config, k = trace.config, -1
+    for (_, turn), records in groupby(steps, key=lambda rec: (rec.round_index, rec.turn)):
+        d_hats = [rec.estimate.d_hat for rec in records]
+        k += len(d_hats)
+        over = config.game_over(turn, max(d_hats) if turn == D_TURN else d_hats[-1],
+                                steps[k].step_index)
+        if over is not None and k < len(steps) - 1:
+            raise ConfigError(f"steps[{k}]", f"expected no later step, as this turn ends the "
+                                             f"game in {over!r}, got {len(steps) - 1 - k} more")
+    want = over or TERMINATION_BUDGET
     if trace.termination != want:
         raise ConfigError(
             "termination", f"expected {want!r} by the last turn, got {trace.termination!r}"
         )
-    if not equilibrium and trace.c_step_total < config.c_limit:
+    if over is None:
         raise ConfigError(
             "termination",
             f"{want!r} needs c_step_total >= c_limit, got {trace.c_step_total} < {config.c_limit}",
@@ -520,9 +523,8 @@ def summary_from_doc(doc: dict) -> BatchSummary:
     summary = _coerce("", _body("summary", SUMMARY_SCHEMA, doc), BatchSummary)
     # What summarize_batch derives from the games is derived again from the
     # CDF values and compared; mean_fidelity is not, since summing the sorted
-    # values can round differently from summing them in game order.
-    if summary.games < 1:
-        raise ConfigError("games", f"expected at least 1, got {summary.games}")
+    # values can round differently from summing them in game order (its kind
+    # holds it to [0, 1], where any mean of fidelities lies).
     for name in ("cdf_c_step", "cdf_fidelity"):
         pairs = getattr(summary, name)
         if len(pairs) != summary.games:
@@ -533,9 +535,6 @@ def summary_from_doc(doc: dict) -> BatchSummary:
             if got != want:
                 raise ConfigError(f"{name}[{i}]", f"expected {list(want)}, got {list(got)}")
     counts = summary.termination_counts
-    for key, count in counts.items():
-        if count < 1:
-            raise ConfigError(f"termination_counts.{key}", f"expected at least 1, got {count}")
     if sum(counts.values()) != summary.games:
         raise ConfigError(
             "termination_counts",

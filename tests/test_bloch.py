@@ -101,6 +101,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="2x2"):
             DensityMatrix(np.eye(3) / 3)
 
+    def test_psd_slack_rescaled_onto_the_sphere(self):
+        # An eigenvalue of -5e-13 is within tolerance, but |v|^2 = 1 + 2e-12
+        # exceeds the ball's 1 + 1e-12; the vector is rescaled to unit length.
+        v = DensityMatrix([[1 + 5e-13, 0], [0, -5e-13]]).to_bloch()
+        assert v.x * v.x + v.y * v.y + v.z * v.z == 1.0
+
     def test_pure_ground_is_plus_z(self):
         v = DensityMatrix.pure_ground().to_bloch()
         assert (v.x, v.y, v.z) == (0.0, 0.0, 1.0)

@@ -432,6 +432,10 @@ class TestRejectedInput:
                 "tracking", ("config", "shots"), None, "config: 'shots' is required",
                 id="config-shots-null",
             ),
+            pytest.param(
+                "cdf", ("termination_counts",), 3, "termination_counts: expected an object, got 3",
+                id="termination_counts-not-an-object",
+            ),
         ],
     )
     def test_wrongly_shaped_document_exits_2(
@@ -528,6 +532,17 @@ class TestRejectedInput:
                 "cdf", {("games",): 0, ("cdf_c_step",): [], ("cdf_fidelity",): []},
                 "games: expected at least 1, got 0",
                 id="cdf-no-games",
+            ),
+            # Still the empirical CDF of its values, but a fidelity above 1.
+            pytest.param(
+                "cdf", {("cdf_fidelity", 2, 0): 1.5},
+                "cdf_fidelity[2][0]: expected a number in [0, 1], got 1.5",
+                id="cdf_fidelity-above-one",
+            ),
+            pytest.param(
+                "cdf", {("mean_fidelity",): -5.0},
+                "mean_fidelity: expected a number in [0, 1], got -5.0",
+                id="mean_fidelity-negative",
             ),
             pytest.param(
                 "tracking", {("steps", 1, "fidelity_ideal"): 7.5},
@@ -703,6 +718,27 @@ class TestRejectedInput:
                 {("config", "c_limit"): 15},
                 "termination: 'budget-exhausted' needs c_step_total >= c_limit, got 14 < 15",
                 id="c_limit-above-c_step_total",
+            ),
+            # Turns that run_game's stop rule ends before the last one: D's
+            # turn of round 1 (steps 0 and 1), or G's (steps 2 and 3).
+            pytest.param(
+                {("steps", k, "estimate", name): value for k in (0, 1)
+                 for name, value in (("p_rho_hat", 0.5), ("p_sigma_hat", 0.5), ("d_hat", 0.0))},
+                "steps[1]: expected no later step, as this turn ends the game in 'equilibrium',"
+                " got 4 more",
+                id="equilibrium-in-round-1",
+            ),
+            pytest.param(
+                {("config", "c_limit"): 5},
+                "steps[3]: expected no later step, as this turn ends the game in 'budget-exhausted',"
+                " got 2 more",
+                id="budget-exhausted-after-g-of-round-1",
+            ),
+            pytest.param(
+                {("config", "c_limit"): 1},
+                "steps[1]: expected no later step, as this turn ends the game in 'budget-exhausted',"
+                " got 4 more",
+                id="budget-exhausted-after-d-of-round-1",
             ),
         ],
     )

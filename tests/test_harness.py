@@ -7,6 +7,7 @@ import re
 import stat
 import threading
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import qgan_sim.harness as harness_mod
 from qgan_sim import ConfigError, GameConfig, NoiseSettings, run_experiment
 from qgan_sim.bloch import DensityMatrix
+from qgan_sim.game import Unit
 from qgan_sim.harness import (
     CDF_HEADER,
     SNAPSHOTS_HEADER,
@@ -127,6 +129,21 @@ class TestLoadExperiment:
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError, match=r"^config: expected a JSON object, got \[\]$"):
             load_experiment([])
+
+    @pytest.mark.parametrize(
+        "kind, inside, outside, within",
+        [
+            (Unit, 0.0, math.nextafter(0.0, -1.0), "a number in [0, 1]"),
+            (Unit, 1.0, math.nextafter(1.0, 2.0), "a number in [0, 1]"),
+            (Annotated[float, (1, None)], 1.0, math.nextafter(1.0, 0.0), "at least 1"),
+            (Annotated[int, (1, None)], 1, 0, "at least 1"),
+        ],
+    )
+    def test_bounded_kind_reads_its_bounds(self, kind, inside, outside, within):
+        assert harness_mod._coerce("field", inside, kind) == inside
+        message = f"field: expected {within}, got {outside!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            harness_mod._coerce("field", outside, kind)
 
     def test_unknown_kind_is_a_programming_error(self):
         with pytest.raises(AssertionError):
