@@ -178,19 +178,60 @@ class GameTrace:
     steps: list[StepRecord]
 
 
-def _partial(
-    i: int, p: tuple, sigma: DensityMatrix, config: GameConfig, rng: np.random.Generator
-) -> float:
-    # finite_diff_gradient along p[i] of the flat parameter tuple.
-    # The offset flips backward for r at 1.
-    delta = config.fd_delta_r if i == 0 else config.fd_delta_angle
-    backward = i == 0 and p[0] + delta > 1.0
+_new = object.__new__
+
+
+def _record(
+    step_index: int, round_index: int, turn: Turn, params_after: Params,
+    estimate: OutcomeEstimate, fidelity_ideal: float,
+) -> StepRecord:
+    # The loop's trusted build, as ``sampling._estimate`` builds estimates:
+    # StepRecord checks nothing, so the fields are stored as the constructor
+    # would store them, without its frozen-attribute writes.
+    rec = _new(StepRecord)
+    fields = rec.__dict__
+    fields["step_index"] = step_index
+    fields["round_index"] = round_index
+    fields["turn"] = turn
+    fields["params_after"] = params_after
+    fields["estimate"] = estimate
+    fields["fidelity_ideal"] = fidelity_ideal
+    return rec
+
+
+def _gradient(
+    active: Sequence[int], p: tuple, sigma: DensityMatrix, config: GameConfig,
+    rng: np.random.Generator,
+) -> list[float]:
+    # The partials of d along p[i] of the flat parameter tuple, for each i
+    # in ``active``: a fresh estimate at p, then one at p offset along p[i].
+    # The offset flips backward for r at 1.  The base point and the side
+    # that stands still are the same tuples for every partial, so the
+    # estimator finds them kept.
     shots = None if config.exact_mode else config.shots
     noise, branchwise = config.noise, config.branchwise
-    base = estimate_d(p[:3], p[3:], sigma, shots, noise, rng, branchwise).d_hat
-    q = p[:i] + (p[i] + (-delta if backward else delta),) + p[i + 1:]
-    other = estimate_d(q[:3], q[3:], sigma, shots, noise, rng, branchwise).d_hat
-    return (base - other) / delta if backward else (other - base) / delta
+    r, theta, phi, beta, gamma = p
+    gen, meas = (r, theta, phi), (beta, gamma)
+    grads = []
+    for i in active:
+        delta = config.fd_delta_r if i == 0 else config.fd_delta_angle
+        backward = i == 0 and r + delta > 1.0
+        base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
+        moved = p[i] + (-delta if backward else delta)
+        q_gen, q_meas = gen, meas
+        if i == 0:
+            q_gen = (moved, theta, phi)
+        elif i == 1:
+            q_gen = (r, moved, phi)
+        elif i == 2:
+            q_gen = (r, theta, moved)
+        elif i == 3:
+            q_meas = (moved, gamma)
+        else:
+            q_meas = (beta, moved)
+        other = estimate_d(q_gen, q_meas, sigma, shots, noise, rng, branchwise).d_hat
+        grads.append((base - other) / delta if backward else (other - base) / delta)
+    return grads
 
 
 def finite_diff_gradient(
@@ -208,7 +249,7 @@ def finite_diff_gradient(
     """
     if param not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {param!r}")
-    return _partial(PARAM_NAMES.index(param), (*gen, *meas), sigma, config, rng)
+    return _gradient((PARAM_NAMES.index(param),), (*gen, *meas), sigma, config, rng)[0]
 
 
 def run_turn(
@@ -258,13 +299,16 @@ def run_turn(
     rate = config.learning_rate if ascend else -config.learning_rate
     per_step = len(active) if config.count_per_partial else 1
     shots = None if config.exact_mode else config.shots
+    noise, branchwise, r_scale = config.noise, config.branchwise, config.r_rate_scale
+    cap, window, tol = config.per_turn_cap, config.stall_window, config.stall_tol
     # The generator stands still in D's turn, and so does its ideal fidelity;
     # D takes it at its first record, once the estimator has checked p.
     fid = None
     records: list[StepRecord] = []
+    seen: list[float] = []  # D's re-measured d, for the stall check
     c = c_start
-    while c - c_start < config.per_turn_cap:
-        grads = [_partial(i, p, sigma, config, rng) for i in active]
+    while c - c_start < cap:
+        grads = _gradient(active, p, sigma, config, rng)
         if ascend:
             norm = math.hypot(*grads)
             deltas = [rate * g / norm if norm else 0.0 for g in grads]
@@ -273,19 +317,19 @@ def run_turn(
         q = list(p)
         for i, delta in zip(active, deltas):
             if i == 0:
-                q[0] = min(max(q[0] + config.r_rate_scale * delta, 0.0), 1.0)
+                q[0] = min(max(q[0] + r_scale * delta, 0.0), 1.0)
             else:
                 q[i] += delta
         p = tuple(q)
         c += per_step
-        est = estimate_d(p[:3], p[3:], sigma, shots, config.noise, rng, config.branchwise)
+        est = estimate_d(p[:3], p[3:], sigma, shots, noise, rng, branchwise)
         if fid is None or not ascend:
             fid = generated_fidelity(sigma, p[0], p[1], p[2])
-        records.append(StepRecord(step_index=c, round_index=round_index, turn=turn,
-                                  params_after=p, estimate=est, fidelity_ideal=fid))
+        records.append(_record(c, round_index, turn, p, est, fid))
         if ascend:
-            seen = [rec.estimate.d_hat for rec in records[-config.stall_window:]]
-            if len(seen) == config.stall_window and max(seen) - min(seen) < config.stall_tol:
+            seen.append(est.d_hat)
+            last = seen[-window:]
+            if len(last) == window and max(last) - min(last) < tol:
                 break
         elif est.d_hat < threshold:
             break

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .bloch import (  # noqa: F401  (bench/run.py traces the object forms here)
     outcome_probability,
     pure_axis,
     state_bloch,
-    state_xyz,
 )
 from .noise import NoiseSettings, apply_noise, channel_xyz
 
@@ -117,15 +117,20 @@ def estimate_d(
     kernels the object API runs after its own checks.
 
     Within a turn one player's parameters stay the very same objects, so
-    each side of the read-out is kept on ``sigma`` from the last call and
-    read out in one block, the generated side first: its vector after the
-    channel, keyed by the ``r``, ``theta``, ``phi`` and ``noise`` objects,
-    then the axis with p_sigma and the true vector after the channel, keyed
-    by ``beta``, ``gamma`` and ``noise``.  A side whose objects are the kept
-    ones is reused as that call checked and computed it; any other side is
-    checked, computed and stored before the next is looked at (the true
-    vector is reused whenever ``noise`` is the kept one), so the result is
-    bit-identical to a call on a fresh state.
+    each side of the read-out is kept on ``sigma`` and read out in one
+    block, the generated side first: its vector after the channel, keyed by
+    the ``r``, ``theta``, ``phi`` and ``noise`` objects, then the axis with
+    p_sigma and the true vector after the channel, keyed by ``beta``,
+    ``gamma`` and ``noise``.  Each side keeps two entries, the current one
+    and the one before it, which serve a finite difference's base point and
+    its latest offset point.  A side whose objects are those of an entry is
+    reused as the call that stored it checked and computed it, and that
+    entry becomes the current one; any other side is checked, computed and
+    stored as the current entry before the next is looked at (the true
+    vector is reused whenever ``noise`` is the current axis entry's), so
+    the result is bit-identical to a call on a fresh state.  The two
+    channelled branch vectors of a generated entry are computed the first
+    time a branchwise call needs them.
     """
     r, theta, phi = gen
     beta, gamma = meas
@@ -134,47 +139,68 @@ def estimate_d(
         kept is not None and kept[0] is r and kept[1] is theta and kept[2] is phi
         and kept[3] is noise
     ):
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"r must be in [0, 1], got {r}")
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError("theta, phi, beta and gamma must be finite")
-        kept = (r, theta, phi, noise, *channel_xyz(noise, *state_xyz(r, theta, phi)))
-        sigma._generated = kept
+        entry = sigma._generated_old
+        if not (
+            entry is not None and entry[0] is r and entry[1] is theta and entry[2] is phi
+            and entry[3] is noise
+        ):
+            if not 0.0 <= r <= 1.0:
+                raise ValueError(f"r must be in [0, 1], got {r}")
+            if not (isfinite(theta) and isfinite(phi)):
+                raise ValueError("theta, phi, beta and gamma must be finite")
+            # state_xyz, then the channel; the branch vectors come later.
+            w = 2.0 * r - 1.0
+            st = sin(theta)
+            x, y, z = channel_xyz(noise, w * (st * sin(phi)), w * (st * cos(phi)), w * cos(theta))
+            entry = (r, theta, phi, noise, x, y, z, None)
+        sigma._generated_old, sigma._generated = kept, entry
+        kept = entry
     axis = sigma._axis
     if not (axis is not None and axis[0] is beta and axis[1] is gamma and axis[2] is noise):
-        if not (math.isfinite(beta) and math.isfinite(gamma)):
-            raise ValueError("theta, phi, beta and gamma must be finite")
-        mx, my, mz = axis_xyz(beta, gamma)
-        if axis is not None and axis[2] is noise:
-            true = axis[7]
-        else:  # the true state never changes, so this runs once per channel
-            v = apply_noise(noise, sigma.to_bloch(), "true")
-            true = (v.x, v.y, v.z)
-        axis = (beta, gamma, noise, mx, my, mz, _probability(mx, my, mz, *true), true)
-        sigma._axis = axis
-    _, _, _, _, x, y, z = kept
-    _, _, _, mx, my, mz, p_sigma, _ = axis
+        entry = sigma._axis_old
+        if not (
+            entry is not None and entry[0] is beta and entry[1] is gamma and entry[2] is noise
+        ):
+            if not (isfinite(beta) and isfinite(gamma)):
+                raise ValueError("theta, phi, beta and gamma must be finite")
+            st = sin(beta)  # axis_xyz
+            mx, my, mz = st * sin(gamma), st * cos(gamma), cos(beta)
+            if axis is not None and axis[2] is noise:
+                true = axis[7]
+            else:  # the true state never changes, so this runs once per channel
+                v = apply_noise(noise, sigma.to_bloch(), "true")
+                true = (v.x, v.y, v.z)
+            entry = (beta, gamma, noise, mx, my, mz, _probability(mx, my, mz, *true), true)
+        sigma._axis_old, sigma._axis = axis, entry
+        axis = entry
+    if shots is not None:
+        if rng is None:
+            raise ValueError("shot-limited estimation requires a random generator")
+        if shots < 1:
+            raise ValueError(f"shot count must be >= 1, got {shots}")
+        if branchwise:
+            # Physically faithful two-stage draw: pick the prepared branch per
+            # shot, then the detection outcome.  Marginally identical to
+            # Binomial(n, p_rho).
+            branches = kept[7]
+            if branches is None:  # kept is the current entry
+                branches = (
+                    channel_xyz(noise, *axis_xyz(theta, phi)),
+                    channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi)),
+                )
+                sigma._generated = (*kept[:7], branches)
+            mx, my, mz = axis[3], axis[4], axis[5]
+            k_main = rng.binomial(shots, r)
+            hits = rng.binomial(k_main, _probability(mx, my, mz, *branches[0])) if k_main > 0 else 0
+            rest = shots - k_main
+            if rest > 0:
+                hits += rng.binomial(rest, _probability(mx, my, mz, *branches[1]))
+            return _estimate(float(hits) / shots, float(rng.binomial(shots, axis[6])) / shots, shots)
+    # _probability, inline: p_rho serves the exact and the plain shot read-out.
+    p = 0.5 * (1.0 + (axis[3] * kept[4] + axis[4] * kept[5] + axis[5] * kept[6]))
+    p_rho = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
     if shots is None:
-        return _estimate(_probability(mx, my, mz, x, y, z), p_sigma, None)
-    if rng is None:
-        raise ValueError("shot-limited estimation requires a random generator")
-    if shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
-    if branchwise:
-        # Physically faithful two-stage draw: pick the prepared branch per
-        # shot, then the detection outcome.  Marginally identical to
-        # Binomial(n, p_rho).
-        p_main = _probability(mx, my, mz, *channel_xyz(noise, *axis_xyz(theta, phi)))
-        p_alt = _probability(
-            mx, my, mz, *channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi))
-        )
-        k_main = rng.binomial(shots, r)
-        hits = rng.binomial(k_main, p_main) if k_main > 0 else 0
-        rest = shots - k_main
-        if rest > 0:
-            hits += rng.binomial(rest, p_alt)
-        p_rho_hat = float(hits) / shots
-    else:
-        p_rho_hat = float(rng.binomial(shots, _probability(mx, my, mz, x, y, z))) / shots
-    p_sigma_hat = float(rng.binomial(shots, p_sigma)) / shots
-    return _estimate(p_rho_hat, p_sigma_hat, shots)
+        return _estimate(p_rho, axis[6], None)
+    return _estimate(
+        float(rng.binomial(shots, p_rho)) / shots, float(rng.binomial(shots, axis[6])) / shots, shots
+    )

@@ -1,6 +1,8 @@
 """Adversarial loop: gradients, turn rules, stop conditions, accounting."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +25,13 @@ from qgan_sim import (
     state_bloch,
     trace_distance,
 )
-from qgan_sim.game import D_TURN, G_TURN, TERMINATION_BUDGET, TERMINATION_EQUILIBRIUM
+from qgan_sim.game import (
+    D_TURN,
+    G_TURN,
+    TERMINATION_BUDGET,
+    TERMINATION_EQUILIBRIUM,
+    StepRecord,
+)
 
 GROUND = DensityMatrix.pure_ground()
 
@@ -226,6 +234,23 @@ class TestRunTurn:
             )
             assert as_tuple[1]
             assert as_list == as_tuple
+
+    @pytest.mark.parametrize("exact_mode", [True, False])
+    def test_loop_record_equals_the_public_build(self, exact_mode):
+        # The loop builds its step records without the frozen dataclass's
+        # __init__; each must be the record the public constructor builds
+        # from the same values.
+        trace = run_game(GROUND, GameConfig(exact_mode=exact_mode, c_limit=60, seed=3))
+        assert {rec.turn for rec in trace.steps} == {D_TURN, G_TURN}
+        for rec in trace.steps:
+            public = StepRecord(**vars(rec))
+            assert type(rec) is StepRecord
+            assert rec == public and hash(rec) == hash(public) and repr(rec) == repr(public)
+            assert vars(rec) == vars(public) and list(vars(rec)) == list(vars(public))
+            assert dataclasses.replace(rec) == rec
+            assert pickle.loads(pickle.dumps(rec)) == rec
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rec.step_index = 0
 
     def test_g_turn_requires_entering_estimate(self):
         with pytest.raises(ValueError, match="entering"):

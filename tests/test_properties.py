@@ -162,24 +162,32 @@ def call_sequences(draw):
     its very objects while the other moves.  A move may also put in an
     equal-valued but distinct float, or flip a zero's sign, or come with a
     bad value (r outside [0, 1], a NaN or infinite angle) on either side
-    for a call or two before the old object is back, and the noise object
-    is swapped (perhaps for an equal copy) partway through."""
+    for a call or two before the old object is back, or go back to the
+    side's float objects before its last change (A, B, A, as a finite
+    difference returns to its base point).  About one move in four swaps
+    the noise object for the other one (perhaps an equal copy), so a side
+    can also come back under another channel."""
     values = draw(params())
     sides = {"G": list(values[:3]), "D": list(values[3:])}
+    before = {"G": list(values[:3]), "D": list(values[3:])}
     first = draw(noises)
-    second = draw(noises | st.just(copy.copy(first)))
-    swap = draw(st.integers(0, 16))
+    noise = [first, draw(noises | st.just(copy.copy(first)))]
     calls = []
 
     def call():
-        noise = first if len(calls) < swap else second
-        calls.append((tuple(sides["G"]), tuple(sides["D"]), noise))
+        calls.append((tuple(sides["G"]), tuple(sides["D"]), noise[0]))
 
     for turn in draw(st.lists(st.sampled_from("GD"), min_size=1, max_size=4)):
         side = sides[turn]
         for _ in range(draw(st.integers(1, 5))):
             i = draw(st.integers(0, len(side) - 1))
-            how = draw(st.sampled_from(("keep", "move", "copy", "zero", "bad")))
+            how = draw(st.sampled_from(("keep", "move", "copy", "zero", "bad", "back")))
+            if draw(st.integers(0, 3)) == 0:
+                noise.reverse()
+            if how == "back":
+                side[:], before[turn] = before[turn], list(side)
+            elif how != "keep":
+                before[turn] = list(side)
             if how in ("move", "bad"):
                 side[i] = draw(unit if turn == "G" and i == 0 else angles)
             if how == "bad":
@@ -223,6 +231,11 @@ def test_reused_sigma_reads_out_as_a_fresh_one(calls, v, n, seed, branchwise):
         kept = read_out(gen, meas, sigma, n, noise, rng, branchwise)
         fresh = read_out(gen, meas, DensityMatrix(matrix), n, noise, twin, branchwise)
         assert kept == fresh
+        if not kept.startswith("ValueError"):
+            # Each side's current entry is the one this call read out, so
+            # that an older entry hit becomes the current one.
+            assert all(a is b for a, b in zip(sigma._generated, (*gen, noise)))
+            assert all(a is b for a, b in zip(sigma._axis, (*meas, noise)))
     assert rng.random() == twin.random()
 
 
