@@ -299,15 +299,12 @@ def run_turn(
     rate = config.learning_rate if ascend else -config.learning_rate
     per_step = len(active) if config.count_per_partial else 1
     shots = None if config.exact_mode else config.shots
-    noise, branchwise, r_scale = config.noise, config.branchwise, config.r_rate_scale
-    cap, window, tol = config.per_turn_cap, config.stall_window, config.stall_tol
     # The generator stands still in D's turn, and so does its ideal fidelity;
     # D takes it at its first record, once the estimator has checked p.
     fid = None
     records: list[StepRecord] = []
-    seen: list[float] = []  # D's re-measured d, for the stall check
     c = c_start
-    while c - c_start < cap:
+    while c - c_start < config.per_turn_cap:
         grads = _gradient(active, p, sigma, config, rng)
         if ascend:
             norm = math.hypot(*grads)
@@ -317,19 +314,18 @@ def run_turn(
         q = list(p)
         for i, delta in zip(active, deltas):
             if i == 0:
-                q[0] = min(max(q[0] + r_scale * delta, 0.0), 1.0)
+                q[0] = min(max(q[0] + config.r_rate_scale * delta, 0.0), 1.0)
             else:
                 q[i] += delta
         p = tuple(q)
         c += per_step
-        est = estimate_d(p[:3], p[3:], sigma, shots, noise, rng, branchwise)
+        est = estimate_d(p[:3], p[3:], sigma, shots, config.noise, rng, config.branchwise)
         if fid is None or not ascend:
             fid = generated_fidelity(sigma, p[0], p[1], p[2])
         records.append(_record(c, round_index, turn, p, est, fid))
         if ascend:
-            seen.append(est.d_hat)
-            last = seen[-window:]
-            if len(last) == window and max(last) - min(last) < tol:
+            seen = [rec.estimate.d_hat for rec in records[-config.stall_window:]]
+            if len(seen) == config.stall_window and max(seen) - min(seen) < config.stall_tol:
                 break
         elif est.d_hat < threshold:
             break
