@@ -181,59 +181,6 @@ class GameTrace:
 _new = object.__new__
 
 
-def _record(
-    step_index: int, round_index: int, turn: Turn, params_after: Params,
-    estimate: OutcomeEstimate, fidelity_ideal: float,
-) -> StepRecord:
-    # The loop's trusted build, as ``sampling._estimate`` builds estimates:
-    # StepRecord checks nothing, so the fields are stored as the constructor
-    # would store them, without its frozen-attribute writes.
-    rec = _new(StepRecord)
-    fields = rec.__dict__
-    fields["step_index"] = step_index
-    fields["round_index"] = round_index
-    fields["turn"] = turn
-    fields["params_after"] = params_after
-    fields["estimate"] = estimate
-    fields["fidelity_ideal"] = fidelity_ideal
-    return rec
-
-
-def _gradient(
-    active: Sequence[int], p: tuple, sigma: DensityMatrix, config: GameConfig,
-    rng: np.random.Generator,
-) -> list[float]:
-    # The partials of d along p[i] of the flat parameter tuple, for each i
-    # in ``active``: a fresh estimate at p, then one at p offset along p[i].
-    # The offset flips backward for r at 1.  The base point and the side
-    # that stands still are the same tuples for every partial, so the
-    # estimator finds them kept.
-    shots = None if config.exact_mode else config.shots
-    noise, branchwise = config.noise, config.branchwise
-    r, theta, phi, beta, gamma = p
-    gen, meas = (r, theta, phi), (beta, gamma)
-    grads = []
-    for i in active:
-        delta = config.fd_delta_r if i == 0 else config.fd_delta_angle
-        backward = i == 0 and r + delta > 1.0
-        base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
-        moved = p[i] + (-delta if backward else delta)
-        q_gen, q_meas = gen, meas
-        if i == 0:
-            q_gen = (moved, theta, phi)
-        elif i == 1:
-            q_gen = (r, moved, phi)
-        elif i == 2:
-            q_gen = (r, theta, moved)
-        elif i == 3:
-            q_meas = (moved, gamma)
-        else:
-            q_meas = (beta, moved)
-        other = estimate_d(q_gen, q_meas, sigma, shots, noise, rng, branchwise).d_hat
-        grads.append((base - other) / delta if backward else (other - base) / delta)
-    return grads
-
-
 def finite_diff_gradient(
     param: str,
     gen: GeneratorParams,
@@ -249,7 +196,17 @@ def finite_diff_gradient(
     """
     if param not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {param!r}")
-    return _gradient((PARAM_NAMES.index(param),), (*gen, *meas), sigma, config, rng)[0]
+    i = PARAM_NAMES.index(param)
+    p = [*gen, *meas]
+    delta = config.fd_delta_r if i == 0 else config.fd_delta_angle
+    backward = i == 0 and p[0] + delta > 1.0
+    read_out = (
+        sigma, None if config.exact_mode else config.shots, config.noise, rng, config.branchwise,
+    )
+    base = estimate_d(tuple(p[:3]), tuple(p[3:]), *read_out).d_hat
+    p[i] = p[i] - delta if backward else p[i] + delta
+    other = estimate_d(tuple(p[:3]), tuple(p[3:]), *read_out).d_hat
+    return (base - other) / delta if backward else (other - base) / delta
 
 
 def run_turn(
@@ -282,12 +239,6 @@ def run_turn(
     if turn not in _ACTIVE:
         raise ValueError(f"turn must be {D_TURN!r} or {G_TURN!r}, got {turn!r}")
     p = tuple(p)
-    # The player is resolved once.  D ascends along the normalized gradient:
-    # a fixed step length keeps the axis re-aligning even when |grad| ~ trace
-    # distance is small, so its turn genuinely ends near the trace-distance
-    # optimum.  G descends along the plain gradient: its step then shrinks
-    # with the remaining signal, which keeps the threshold crossing from
-    # overshooting.
     ascend = turn == D_TURN
     threshold = config.g_threshold(round_index)
     if not ascend:
@@ -295,34 +246,73 @@ def run_turn(
             raise ValueError("the generator turn requires the entering estimate")
         if entering.d_hat < threshold:
             return p, [], c_start, entering
-    active = _ACTIVE[turn]
-    rate = config.learning_rate if ascend else -config.learning_rate
-    per_step = len(active) if config.count_per_partial else 1
+    r, theta, phi, beta, gamma = p
     shots = None if config.exact_mode else config.shots
-    # The generator stands still in D's turn, and so does its ideal fidelity;
-    # D takes it at its first record, once the estimator has checked p.
+    noise, branchwise = config.noise, config.branchwise
+    rate, d_angle, d_r = config.learning_rate, config.fd_delta_angle, config.fd_delta_r
+    per_step = len(_ACTIVE[turn]) if config.count_per_partial else 1
+    # Each partial is a fresh estimate at the base point, then one at the
+    # point offset along its parameter.  The side that stands still is one
+    # tuple for the whole turn and the base point one tuple per iteration,
+    # so the estimator finds them kept.  The generator stands still in D's
+    # turn, and so does its ideal fidelity; D takes it at its first record,
+    # once the estimator has checked p.
+    gen, meas = (r, theta, phi), (beta, gamma)
     fid = None
     records: list[StepRecord] = []
     c = c_start
     while c - c_start < config.per_turn_cap:
-        grads = _gradient(active, p, sigma, config, rng)
         if ascend:
-            norm = math.hypot(*grads)
-            deltas = [rate * g / norm if norm else 0.0 for g in grads]
+            # D ascends along the normalized gradient: a fixed step length
+            # keeps the axis re-aligning even when |grad| ~ trace distance is
+            # small, so its turn genuinely ends near the trace-distance optimum.
+            base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
+            est = estimate_d(gen, (beta + d_angle, gamma), sigma, shots, noise, rng, branchwise)
+            g_beta = (est.d_hat - base) / d_angle
+            base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
+            est = estimate_d(gen, (beta, gamma + d_angle), sigma, shots, noise, rng, branchwise)
+            g_gamma = (est.d_hat - base) / d_angle
+            norm = math.hypot(g_beta, g_gamma)
+            beta += rate * g_beta / norm if norm else 0.0
+            gamma += rate * g_gamma / norm if norm else 0.0
+            meas = (beta, gamma)
         else:
-            deltas = [rate * g for g in grads]
-        q = list(p)
-        for i, delta in zip(active, deltas):
-            if i == 0:
-                q[0] = min(max(q[0] + config.r_rate_scale * delta, 0.0), 1.0)
+            # G descends along the plain gradient: its step then shrinks with
+            # the remaining signal, which keeps the threshold crossing from
+            # overshooting.  r's difference flips backward at the boundary.
+            base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
+            if r + d_r > 1.0:
+                est = estimate_d((r - d_r, theta, phi), meas, sigma, shots, noise, rng, branchwise)
+                g_r = (base - est.d_hat) / d_r
             else:
-                q[i] += delta
-        p = tuple(q)
+                est = estimate_d((r + d_r, theta, phi), meas, sigma, shots, noise, rng, branchwise)
+                g_r = (est.d_hat - base) / d_r
+            base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
+            est = estimate_d((r, theta + d_angle, phi), meas, sigma, shots, noise, rng, branchwise)
+            g_theta = (est.d_hat - base) / d_angle
+            base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
+            est = estimate_d((r, theta, phi + d_angle), meas, sigma, shots, noise, rng, branchwise)
+            g_phi = (est.d_hat - base) / d_angle
+            r = min(max(r - config.r_rate_scale * (rate * g_r), 0.0), 1.0)
+            theta -= rate * g_theta
+            phi -= rate * g_phi
+            gen = (r, theta, phi)
         c += per_step
-        est = estimate_d(p[:3], p[3:], sigma, shots, config.noise, rng, config.branchwise)
+        est = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise)
         if fid is None or not ascend:
-            fid = generated_fidelity(sigma, p[0], p[1], p[2])
-        records.append(_record(c, round_index, turn, p, est, fid))
+            fid = generated_fidelity(sigma, r, theta, phi)
+        # StepRecord checks nothing, so the loop stores its fields as the
+        # constructor would, without the frozen dataclass's attribute writes.
+        rec = _new(StepRecord)
+        fields = rec.__dict__
+        fields["step_index"] = c
+        fields["round_index"] = round_index
+        fields["turn"] = turn
+        p = (r, theta, phi, beta, gamma)
+        fields["params_after"] = p
+        fields["estimate"] = est
+        fields["fidelity_ideal"] = fid
+        records.append(rec)
         if ascend:
             seen = [rec.estimate.d_hat for rec in records[-config.stall_window:]]
             if len(seen) == config.stall_window and max(seen) - min(seen) < config.stall_tol:

@@ -328,7 +328,10 @@ def run_batch(
          None if traces_dir is None else Path(traces_dir) / TRACE_NAME.format(k))
         for k in range(count)
     ]
-    workers = min(jobs, count, os.cpu_count() or 1)
+    # os.cpu_count() is a system call; only a batch that could pool needs it.
+    workers = min(jobs, count)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         return [_play(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -78,19 +78,6 @@ def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
 _new = object.__new__
 
 
-def _estimate(p_rho_hat: float, p_sigma_hat: float, shots: int | None) -> OutcomeEstimate:
-    # The kernel's trusted build: its frequencies lie in [0, 1], d_hat is
-    # their difference and shots was checked, so ``__post_init__`` would
-    # find nothing; the fields are stored as the constructor would store them.
-    est = _new(OutcomeEstimate)
-    fields = est.__dict__
-    fields["p_rho_hat"] = p_rho_hat
-    fields["p_sigma_hat"] = p_sigma_hat
-    fields["d_hat"] = p_rho_hat - p_sigma_hat
-    fields["shots"] = shots
-    return est
-
-
 def estimate_d(
     gen: GeneratorParams,
     meas: MeasurementParams,
@@ -178,29 +165,38 @@ def estimate_d(
             raise ValueError("shot-limited estimation requires a random generator")
         if shots < 1:
             raise ValueError(f"shot count must be >= 1, got {shots}")
-        if branchwise:
-            # Physically faithful two-stage draw: pick the prepared branch per
-            # shot, then the detection outcome.  Marginally identical to
-            # Binomial(n, p_rho).
-            branches = kept[7]
-            if branches is None:  # kept is the current entry
-                branches = (
-                    channel_xyz(noise, *axis_xyz(theta, phi)),
-                    channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi)),
-                )
-                sigma._generated = (*kept[:7], branches)
-            mx, my, mz = axis[3], axis[4], axis[5]
-            k_main = rng.binomial(shots, r)
-            hits = rng.binomial(k_main, _probability(mx, my, mz, *branches[0])) if k_main > 0 else 0
-            rest = shots - k_main
-            if rest > 0:
-                hits += rng.binomial(rest, _probability(mx, my, mz, *branches[1]))
-            return _estimate(float(hits) / shots, float(rng.binomial(shots, axis[6])) / shots, shots)
-    # _probability, inline: p_rho serves the exact and the plain shot read-out.
-    p = 0.5 * (1.0 + (axis[3] * kept[4] + axis[4] * kept[5] + axis[5] * kept[6]))
-    p_rho = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
-    if shots is None:
-        return _estimate(p_rho, axis[6], None)
-    return _estimate(
-        float(rng.binomial(shots, p_rho)) / shots, float(rng.binomial(shots, axis[6])) / shots, shots
-    )
+    if shots is not None and branchwise:
+        # Physically faithful two-stage draw: pick the prepared branch per
+        # shot, then the detection outcome.  Marginally identical to
+        # Binomial(n, p_rho).
+        branches = kept[7]
+        if branches is None:  # kept is the current entry
+            branches = (
+                channel_xyz(noise, *axis_xyz(theta, phi)),
+                channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi)),
+            )
+            sigma._generated = (*kept[:7], branches)
+        mx, my, mz = axis[3], axis[4], axis[5]
+        k_main = rng.binomial(shots, r)
+        hits = rng.binomial(k_main, _probability(mx, my, mz, *branches[0])) if k_main > 0 else 0
+        rest = shots - k_main
+        if rest > 0:
+            hits += rng.binomial(rest, _probability(mx, my, mz, *branches[1]))
+        p_rho = float(hits) / shots
+    else:
+        # _probability, inline: p_rho serves the exact and the plain shot read-out.
+        p = 0.5 * (1.0 + (axis[3] * kept[4] + axis[4] * kept[5] + axis[5] * kept[6]))
+        p_rho = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+        if shots is not None:
+            p_rho = float(rng.binomial(shots, p_rho)) / shots
+    p_sigma = axis[6] if shots is None else float(rng.binomial(shots, axis[6])) / shots
+    # The kernel's trusted build: its frequencies lie in [0, 1], d_hat is
+    # their difference and shots was checked, so ``__post_init__`` would
+    # find nothing; the fields are stored as the constructor would store them.
+    est = _new(OutcomeEstimate)
+    fields = est.__dict__
+    fields["p_rho_hat"] = p_rho
+    fields["p_sigma_hat"] = p_sigma
+    fields["d_hat"] = p_rho - p_sigma
+    fields["shots"] = shots
+    return est

@@ -371,6 +371,17 @@ class TestBatch:
         assert made == ([] if expected is None else [expected])
         assert traces == run_batch(fast_spec(seed=100), count)
 
+    @pytest.mark.parametrize("jobs, count", [(1, 3), (2, 1)])
+    def test_serial_batch_never_asks_the_cpu_count(self, monkeypatch, jobs, count):
+        # A batch that cannot use a pool plays without asking the system.
+        expected = run_batch(fast_spec(seed=100), count)
+
+        def refuse():
+            raise AssertionError("os.cpu_count asked for a serial batch")
+
+        monkeypatch.setattr(harness_mod.os, "cpu_count", refuse)
+        assert run_batch(fast_spec(seed=100), count, jobs=jobs) == expected
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             run_batch(fast_spec(), 0)

@@ -39,8 +39,10 @@ from qgan_sim import (
     state_bloch,
 )
 from qgan_sim.bloch import SIGMA_MODES, axis_xyz, generated_fidelity, state_xyz
+from qgan_sim.game import D_TURN, G_TURN, finite_diff_gradient, run_turn
 from qgan_sim.harness import ExperimentSpec, SigmaSpec, run_experiment
 from qgan_sim.noise import channel_xyz
+from qgan_sim.sampling import OutcomeEstimate
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -304,6 +306,78 @@ def test_noise_maps_keep_vectors_in_ball(v, noise, role):
 @given(r=strengths, theta=finite, phi=finite, noise=noise_settings)
 def test_channel_keeps_generated_states_in_ball(r, theta, phi, noise):
     assert norm_sq(*channel_xyz(noise, *state_xyz(r, theta, phi))) <= 1.0 + 1e-12
+
+
+# Strengths at both ends of [0, 1], the preset's, a hair inside each end, and
+# any other; components that are signed zeros or far below any other term.
+edge_strengths = st.sampled_from((0.0, 1.0, 0.08, 1e-17, 1.0 - 1e-16)) | unit
+edge_components = st.sampled_from((0.0, -0.0, 1e-300, -1e-300)) | st.floats(-0.57, 0.57)
+
+
+@PROPERTY_SETTINGS
+@given(
+    v=ball_vectors | st.builds(BlochVector, edge_components, edge_components, edge_components),
+    eps=edge_strengths, g=edge_strengths,
+)
+def test_channel_xyz_equals_the_object_route(v, eps, g):
+    # channel_xyz restates depolarize-then-damp; it must give the same bits.
+    # Zero strengths return the input as given, signed zeros included, where
+    # the object route would turn -0.0 into 0.0 in z.
+    out = channel_xyz(NoiseSettings(eps, g), v.x, v.y, v.z)
+    if eps == 0.0 and g == 0.0:
+        assert repr(out) == repr((v.x, v.y, v.z))
+    else:
+        w = amplitude_damp(depolarize(v, eps), g)
+        assert repr(out) == repr((w.x, w.y, w.z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    turn=st.sampled_from((D_TURN, G_TURN)),
+    exact=st.booleans(),
+    noisy=st.booleans(),
+    count_per_partial=st.booleans(),
+    # r at 0.97 and 1.0 takes the generator's backward difference.
+    p=st.tuples(st.sampled_from((0.97, 1.0)) | unit, angles, angles, angles, angles),
+    v=bloch_vectors(),
+    seed=seeds,
+)
+def test_each_iteration_is_the_finite_difference_rule(
+    turn, exact, noisy, count_per_partial, p, v, seed
+):
+    # One iteration of run_turn is the update built from finite_diff_gradient's
+    # partials, in the player's order, followed by a re-measurement.
+    names = ("beta", "gamma") if turn == D_TURN else ("r", "theta", "phi")
+    config = GameConfig(
+        shots=50,
+        exact_mode=exact,
+        count_per_partial=count_per_partial,
+        noise=NoiseSettings.decoherence_preset() if noisy else NoiseSettings(),
+        per_turn_cap=len(names) if count_per_partial else 1,
+    )
+    bloch = BlochVector(*v)  # a round trip through to_bloch() can move sigma by an ulp
+    entering = OutcomeEstimate(1.0, 0.0, 1.0, None)
+    _, (rec,), _, _ = run_turn(
+        turn, 1, p, DensityMatrix.from_bloch(bloch), config, np.random.default_rng(seed), entering
+    )
+    sigma, rng = DensityMatrix.from_bloch(bloch), np.random.default_rng(seed)
+    gen, meas = GeneratorParams(*p[:3]), MeasurementParams(*p[3:])
+    grads = [finite_diff_gradient(name, gen, meas, sigma, config, rng) for name in names]
+    r, theta, phi, beta, gamma = p
+    rate = config.learning_rate
+    if turn == D_TURN:
+        norm = math.hypot(*grads)
+        beta += rate * grads[0] / norm if norm else 0.0
+        gamma += rate * grads[1] / norm if norm else 0.0
+    else:
+        r = min(max(r + config.r_rate_scale * (-rate * grads[0]), 0.0), 1.0)
+        theta += -rate * grads[1]
+        phi += -rate * grads[2]
+    after = (r, theta, phi, beta, gamma)
+    assert repr(rec.params_after) == repr(after)
+    shots = None if exact else config.shots
+    assert rec.estimate == estimate_d(after[:3], after[3:], sigma, shots, config.noise, rng)
+    assert rec.fidelity_ideal == generated_fidelity(sigma, r, theta, phi)
 
 
 def _values(node):
