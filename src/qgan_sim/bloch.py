@@ -322,20 +322,8 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
 def generated_fidelity(sigma: DensityMatrix, r: float, theta: float, phi: float) -> float:
     """``fidelity(sigma, rho)`` for the generated state with parameters
     (r, theta, phi), bit-identical to building rho through ``state_bloch``
-    and ``DensityMatrix.from_bloch`` but without the intermediate objects.
-
-    Restates ``state_xyz``, ``_entries``, ``_det`` and ``_fidelity`` inline,
-    operation for operation, since the game calls it after every generator
-    update."""
-    w = 2.0 * r - 1.0
-    st = math.sin(theta)
-    x, y, z = w * (st * math.sin(phi)), w * (st * math.cos(phi)), w * math.cos(theta)
-    b00, b01, b11 = 0.5 * (1.0 + z), 0.5 * (x - 1j * y), 0.5 * (1.0 - z)
-    a00, a01, a11 = sigma._entries
-    cross = ((a00 * b00 + a01 * b01.conjugate()) + (a01.conjugate() * b01 + a11 * b11)).real
-    det_a = (a00 * a11 - a01 * a01.conjugate()).real
-    det_b = (b00 * b11 - b01 * b01.conjugate()).real
-    return min(_clamped_sqrt(cross + 2.0 * _clamped_sqrt(det_a * det_b)), 1.0)
+    and ``DensityMatrix.from_bloch`` but without the intermediate objects."""
+    return _fidelity(sigma._entries, _entries(*state_xyz(r, theta, phi)))
 
 
 def _det(e: tuple[float, complex, float]) -> float:

@@ -92,18 +92,13 @@ def channel_xyz(
     the same operations in the same order.  No settings, or zero strengths,
     return ``(x, y, z)`` as given; the caller decides only whether the
     channel applies to its role.
-
-    Restates ``_depolarize`` and then ``_amplitude_damp`` in one expression,
-    operation for operation: it runs once per generated state the game reads
-    out.
     """
     if settings is None:
         return x, y, z
     eps, g = settings.depolarizing_eps, settings.amplitude_damping_gamma
     if eps == 0.0 and g == 0.0:
         return x, y, z
-    k, s = 1.0 - eps, sqrt(1.0 - g)
-    return s * (k * x), s * (k * y), (1.0 - g) * (k * z) + g
+    return _amplitude_damp(*_depolarize(x, y, z, eps), g)
 
 
 def apply_noise(settings: NoiseSettings | None, v: BlochVector, role: str) -> BlochVector:

@@ -320,7 +320,7 @@ edge_components = st.sampled_from((0.0, -0.0, 1e-300, -1e-300)) | st.floats(-0.5
     eps=edge_strengths, g=edge_strengths,
 )
 def test_channel_xyz_equals_the_object_route(v, eps, g):
-    # channel_xyz restates depolarize-then-damp; it must give the same bits.
+    # The float channel must give the object route's bits.
     # Zero strengths return the input as given, signed zeros included, where
     # the object route would turn -0.0 into 0.0 in z.
     out = channel_xyz(NoiseSettings(eps, g), v.x, v.y, v.z)
