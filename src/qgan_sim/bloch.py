@@ -143,19 +143,11 @@ class DensityMatrix:
     Hermiticity is enforced exactly by construction (the off-diagonal pair
     is symmetrized), the trace must equal 1 within 1e-12 and both
     eigenvalues must be >= -1e-12.  Only the entries ``(m00, m01, m11)`` are
-    stored; ``m10`` is the conjugate of ``m01``.  ``_axis``/``_axis_old``
-    and ``_generated``/``_generated_old`` are the estimator's memo slots,
-    two entries per side of the read-out, the current one and the one
-    before it: a measurement axis, with p_sigma and this state's Bloch
-    vector after the channel, and a generated state read out against this
-    state.  ``estimate_d`` reuses a side whose objects are an entry's, makes
-    that entry the current one, and otherwise checks, computes and stores
-    that side alone.  The slots take no part in equality.  A pickle carries
-    them, but pickle shares no float objects, so an unpickled memo's
-    parameter keys can only miss.
+    stored; ``m10`` is the conjugate of ``m01``.  The state never changes
+    once built, so a reused state reads out as a fresh one.
     """
 
-    __slots__ = ("_entries", "_bloch", "_axis", "_axis_old", "_generated", "_generated_old")
+    __slots__ = ("_entries", "_bloch")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
@@ -180,7 +172,6 @@ class DensityMatrix:
         # scalars would ride into every estimate at several times the cost.
         m00, m01, m11 = float(m00), complex(m01), float(m11)
         self._entries = (m00, m01, m11)
-        self._axis = self._axis_old = self._generated = self._generated_old = None
         m10 = m01.conjugate()
         x = 2.0 * m10.real
         y = 2.0 * m10.imag

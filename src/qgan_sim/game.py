@@ -25,6 +25,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count
+from numbers import Integral
 from typing import Annotated, Literal, get_args
 
 import numpy as np
@@ -39,7 +40,7 @@ from .bloch import (
     state_bloch,
 )
 from .noise import NoiseSettings
-from .sampling import OutcomeEstimate, estimate_d
+from .sampling import OutcomeEstimate, _axis_side, _generated_side, _true_xyz, estimate_d
 
 __all__ = [
     "GameConfig",
@@ -109,6 +110,14 @@ class GameConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("shots", "c_limit", "stall_window", "per_turn_cap", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer as a plain int
+        for name in ("exact_mode", "count_per_partial", "branchwise"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if not (1 <= self.shots <= 2**63 - 1):  # numpy's binomial takes int64 counts
             raise ValueError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
         if not (0.0 < self.fd_delta_angle):
@@ -252,13 +261,14 @@ def run_turn(
     rate, d_angle, d_r = config.learning_rate, config.fd_delta_angle, config.fd_delta_r
     per_step = len(_ACTIVE[turn]) if config.count_per_partial else 1
     # Each partial is a fresh estimate at the base point, then one at the
-    # point offset along its parameter.  The side that stands still is one
-    # tuple for the whole turn and the base point one tuple per iteration,
-    # so the estimator finds them kept.  The generator stands still in D's
-    # turn, and so does its ideal fidelity; D takes it at its first record,
-    # once the estimator has checked p.
-    gen, meas = (r, theta, phi), (beta, gamma)
-    fid = None
+    # point offset along its parameter.  Each side of the read-out is built,
+    # and checked, once: the side that stands still and the true vector once
+    # per turn, before any draw; the base point once per iteration; each
+    # offset point once.  D's ideal fidelity stands still with the generator.
+    gen = _generated_side(r, theta, phi, noise, branchwise)
+    true = _true_xyz(sigma, noise)
+    meas = _axis_side(beta, gamma, true)
+    fid = generated_fidelity(sigma, r, theta, phi) if ascend else None
     records: list[StepRecord] = []
     c = c_start
     while c - c_start < config.per_turn_cap:
@@ -267,39 +277,41 @@ def run_turn(
             # keeps the axis re-aligning even when |grad| ~ trace distance is
             # small, so its turn genuinely ends near the trace-distance optimum.
             base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
-            est = estimate_d(gen, (beta + d_angle, gamma), sigma, shots, noise, rng, branchwise)
+            offset = _axis_side(beta + d_angle, gamma, true)
+            est = estimate_d(gen, offset, sigma, shots, noise, rng, branchwise)
             g_beta = (est.d_hat - base) / d_angle
             base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
-            est = estimate_d(gen, (beta, gamma + d_angle), sigma, shots, noise, rng, branchwise)
+            offset = _axis_side(beta, gamma + d_angle, true)
+            est = estimate_d(gen, offset, sigma, shots, noise, rng, branchwise)
             g_gamma = (est.d_hat - base) / d_angle
             norm = math.hypot(g_beta, g_gamma)
             beta += rate * g_beta / norm if norm else 0.0
             gamma += rate * g_gamma / norm if norm else 0.0
-            meas = (beta, gamma)
+            meas = _axis_side(beta, gamma, true)
         else:
             # G descends along the plain gradient: its step then shrinks with
             # the remaining signal, which keeps the threshold crossing from
             # overshooting.  r's difference flips backward at the boundary.
             base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
-            if r + d_r > 1.0:
-                est = estimate_d((r - d_r, theta, phi), meas, sigma, shots, noise, rng, branchwise)
-                g_r = (base - est.d_hat) / d_r
-            else:
-                est = estimate_d((r + d_r, theta, phi), meas, sigma, shots, noise, rng, branchwise)
-                g_r = (est.d_hat - base) / d_r
+            back = r + d_r > 1.0
+            offset = _generated_side(r - d_r if back else r + d_r, theta, phi, noise, branchwise)
+            d = estimate_d(offset, meas, sigma, shots, noise, rng, branchwise).d_hat
+            g_r = (base - d) / d_r if back else (d - base) / d_r
             base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
-            est = estimate_d((r, theta + d_angle, phi), meas, sigma, shots, noise, rng, branchwise)
+            offset = _generated_side(r, theta + d_angle, phi, noise, branchwise)
+            est = estimate_d(offset, meas, sigma, shots, noise, rng, branchwise)
             g_theta = (est.d_hat - base) / d_angle
             base = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise).d_hat
-            est = estimate_d((r, theta, phi + d_angle), meas, sigma, shots, noise, rng, branchwise)
+            offset = _generated_side(r, theta, phi + d_angle, noise, branchwise)
+            est = estimate_d(offset, meas, sigma, shots, noise, rng, branchwise)
             g_phi = (est.d_hat - base) / d_angle
             r = min(max(r - config.r_rate_scale * (rate * g_r), 0.0), 1.0)
             theta -= rate * g_theta
             phi -= rate * g_phi
-            gen = (r, theta, phi)
+            gen = _generated_side(r, theta, phi, noise, branchwise)
         c += per_step
         est = estimate_d(gen, meas, sigma, shots, noise, rng, branchwise)
-        if fid is None or not ascend:
+        if not ascend:
             fid = generated_fidelity(sigma, r, theta, phi)
         # StepRecord checks nothing, so the loop stores its fields as the
         # constructor would, without the frozen dataclass's attribute writes.

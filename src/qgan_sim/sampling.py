@@ -77,6 +77,42 @@ def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
 
 _new = object.__new__
 
+# Slot 0 of each side the builders below return, which ``estimate_d`` reads as built.
+_SIDE = object()
+
+
+def _true_xyz(sigma: DensityMatrix, noise: NoiseSettings | None) -> tuple[float, float, float]:
+    """The true state's Bloch vector after the channel, as plain floats."""
+    v = apply_noise(noise, sigma.to_bloch(), "true")
+    return v.x, v.y, v.z
+
+
+def _generated_side(r, theta, phi, noise: NoiseSettings | None, branchwise: bool) -> tuple:
+    """``(_SIDE, r, theta, phi, x, y, z, branches)``, checked: the state's vector after the
+    channel, and its two branch vectors after it when ``branchwise``, else None."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must be in [0, 1], got {r}")
+    if not (isfinite(theta) and isfinite(phi)):
+        raise ValueError("theta, phi, beta and gamma must be finite")
+    # state_xyz, then the channel.
+    w = 2.0 * r - 1.0
+    st = sin(theta)
+    x, y, z = channel_xyz(noise, w * (st * sin(phi)), w * (st * cos(phi)), w * cos(theta))
+    branches = (
+        channel_xyz(noise, *axis_xyz(theta, phi)),
+        channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi)),
+    ) if branchwise else None
+    return (_SIDE, r, theta, phi, x, y, z, branches)
+
+
+def _axis_side(beta, gamma, true: tuple[float, float, float]) -> tuple:
+    """``(_SIDE, beta, gamma, mx, my, mz, p_sigma)``, checked; ``true`` is ``_true_xyz``'s."""
+    if not (isfinite(beta) and isfinite(gamma)):
+        raise ValueError("theta, phi, beta and gamma must be finite")
+    st = sin(beta)  # axis_xyz
+    mx, my, mz = st * sin(gamma), st * cos(gamma), cos(beta)
+    return (_SIDE, beta, gamma, mx, my, mz, _probability(mx, my, mz, *true))
+
 
 def estimate_d(
     gen: GeneratorParams,
@@ -101,65 +137,16 @@ def estimate_d(
     ``gen`` and ``meas`` may be the parameter objects or any sequences
     unpacking to ``(r, theta, phi)`` and ``(beta, gamma)``; their values are
     checked once per call, and the probabilities come from the same float
-    kernels the object API runs after its own checks.
-
-    Within a turn one player's parameters stay the very same objects, so
-    each side of the read-out is kept on ``sigma`` and read out in one
-    block, the generated side first: its vector after the channel, keyed by
-    the ``r``, ``theta``, ``phi`` and ``noise`` objects, then the axis with
-    p_sigma and the true vector after the channel, keyed by ``beta``,
-    ``gamma`` and ``noise``.  Each side keeps two entries, the current one
-    and the one before it, which serve a finite difference's base point and
-    its latest offset point.  A side whose objects are those of an entry is
-    reused as the call that stored it checked and computed it, and that
-    entry becomes the current one; any other side is checked, computed and
-    stored as the current entry before the next is looked at (the true
-    vector is reused whenever ``noise`` is the current axis entry's), so
-    the result is bit-identical to a call on a fresh state.  The two
-    channelled branch vectors of a generated entry are computed the first
-    time a branchwise call needs them.
+    kernels the object API runs after its own checks.  ``run_turn`` passes
+    sides built once by ``_generated_side`` and ``_axis_side`` for this
+    call's sigma, noise and branchwise, which are read as given.
     """
-    r, theta, phi = gen
-    beta, gamma = meas
-    kept = sigma._generated
-    if not (
-        kept is not None and kept[0] is r and kept[1] is theta and kept[2] is phi
-        and kept[3] is noise
-    ):
-        entry = sigma._generated_old
-        if not (
-            entry is not None and entry[0] is r and entry[1] is theta and entry[2] is phi
-            and entry[3] is noise
-        ):
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"r must be in [0, 1], got {r}")
-            if not (isfinite(theta) and isfinite(phi)):
-                raise ValueError("theta, phi, beta and gamma must be finite")
-            # state_xyz, then the channel; the branch vectors come later.
-            w = 2.0 * r - 1.0
-            st = sin(theta)
-            x, y, z = channel_xyz(noise, w * (st * sin(phi)), w * (st * cos(phi)), w * cos(theta))
-            entry = (r, theta, phi, noise, x, y, z, None)
-        sigma._generated_old, sigma._generated = kept, entry
-        kept = entry
-    axis = sigma._axis
-    if not (axis is not None and axis[0] is beta and axis[1] is gamma and axis[2] is noise):
-        entry = sigma._axis_old
-        if not (
-            entry is not None and entry[0] is beta and entry[1] is gamma and entry[2] is noise
-        ):
-            if not (isfinite(beta) and isfinite(gamma)):
-                raise ValueError("theta, phi, beta and gamma must be finite")
-            st = sin(beta)  # axis_xyz
-            mx, my, mz = st * sin(gamma), st * cos(gamma), cos(beta)
-            if axis is not None and axis[2] is noise:
-                true = axis[7]
-            else:  # the true state never changes, so this runs once per channel
-                v = apply_noise(noise, sigma.to_bloch(), "true")
-                true = (v.x, v.y, v.z)
-            entry = (beta, gamma, noise, mx, my, mz, _probability(mx, my, mz, *true), true)
-        sigma._axis_old, sigma._axis = axis, entry
-        axis = entry
+    if not (type(gen) is tuple and gen and gen[0] is _SIDE):
+        r, theta, phi = gen
+        gen = _generated_side(r, theta, phi, noise, branchwise)
+    if not (type(meas) is tuple and meas and meas[0] is _SIDE):
+        beta, gamma = meas
+        meas = _axis_side(beta, gamma, _true_xyz(sigma, noise))
     if shots is not None:
         if rng is None:
             raise ValueError("shot-limited estimation requires a random generator")
@@ -169,15 +156,9 @@ def estimate_d(
         # Physically faithful two-stage draw: pick the prepared branch per
         # shot, then the detection outcome.  Marginally identical to
         # Binomial(n, p_rho).
-        branches = kept[7]
-        if branches is None:  # kept is the current entry
-            branches = (
-                channel_xyz(noise, *axis_xyz(theta, phi)),
-                channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi)),
-            )
-            sigma._generated = (*kept[:7], branches)
-        mx, my, mz = axis[3], axis[4], axis[5]
-        k_main = rng.binomial(shots, r)
+        branches = gen[7]
+        mx, my, mz = meas[3], meas[4], meas[5]
+        k_main = rng.binomial(shots, gen[1])
         hits = rng.binomial(k_main, _probability(mx, my, mz, *branches[0])) if k_main > 0 else 0
         rest = shots - k_main
         if rest > 0:
@@ -185,11 +166,11 @@ def estimate_d(
         p_rho = float(hits) / shots
     else:
         # _probability, inline: p_rho serves the exact and the plain shot read-out.
-        p = 0.5 * (1.0 + (axis[3] * kept[4] + axis[4] * kept[5] + axis[5] * kept[6]))
+        p = 0.5 * (1.0 + (meas[3] * gen[4] + meas[4] * gen[5] + meas[5] * gen[6]))
         p_rho = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
         if shots is not None:
             p_rho = float(rng.binomial(shots, p_rho)) / shots
-    p_sigma = axis[6] if shots is None else float(rng.binomial(shots, axis[6])) / shots
+    p_sigma = meas[6] if shots is None else float(rng.binomial(shots, meas[6])) / shots
     # The kernel's trusted build: its frequencies lie in [0, 1], d_hat is
     # their difference and shots was checked, so ``__post_init__`` would
     # find nothing; the fields are stored as the constructor would store them.

@@ -126,10 +126,10 @@ class TestDensityMatrix:
         assert rho == plain and hash(rho) == hash(plain)
 
     def test_pickled_sigma_reads_out_as_a_fresh_one(self):
-        # A --jobs worker without traces sends each trace back by pickle, its
-        # sigma's read-out memos included.  Pickle shares no float objects,
-        # so an unpickled memo can only miss: every later read-out, on the
-        # trace's own params_after floats or on new ones, is a fresh sigma's.
+        # A --jobs worker without traces sends each trace back by pickle,
+        # sigma included.  Sigma holds no read-out, so every later read-out,
+        # on the trace's own params_after floats or on new ones, is a fresh
+        # sigma's.
         noise = NoiseSettings.decoherence_preset()
         sigma = DensityMatrix.from_bloch(BlochVector(0.3, -0.2, 0.5))
         estimate_d((0.4, 1.1, 2.3), (0.7, 0.2), sigma, None, noise)
@@ -152,6 +152,20 @@ class TestDensityMatrix:
                         for s in (kept, fresh)
                     )
                     assert got == want
+
+    @pytest.mark.parametrize("shots", [None, 50], ids=["exact", "shot"])
+    def test_a_game_leaves_sigma_as_it_was(self, shots):
+        # Sigma keeps nothing between estimates: after a whole game it
+        # pickles to the same bytes as before it.
+        sigma = DensityMatrix.from_bloch(BlochVector(0.3, -0.2, 0.5))
+        before = pickle.dumps(sigma)
+        config = GameConfig(shots=shots or 50, exact_mode=shots is None, c_limit=30,
+                            noise=NoiseSettings.decoherence_preset(), branchwise=True)
+        run_game(sigma, config)
+        estimate_d((0.4, 1.1, 2.3), (0.7, 0.2), sigma, shots, config.noise,
+                   np.random.default_rng(1))
+        assert pickle.dumps(sigma) == before
+        assert DensityMatrix.__slots__ == ("_entries", "_bloch")
 
 
 class TestStateBloch:

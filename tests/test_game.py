@@ -87,6 +87,27 @@ class TestGameConfig:
         with pytest.raises(ValueError, match="seed"):
             GameConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("shots", 50.5), ("shots", 50.0), ("shots", True), ("c_limit", 30.5),
+            ("stall_window", 2.5), ("per_turn_cap", "3"), ("seed", 1.0),
+            ("exact_mode", 1), ("count_per_partial", "yes"), ("branchwise", None),
+            ("exact_mode", np.True_),
+        ],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, name, value):
+        # A count must be an integer and a switch a bool: shots=50.5 used to
+        # play a whole game whose result document its own reader rejects.
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            GameConfig(**{name: value})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        counts = dict(shots=50, c_limit=30, stall_window=2, per_turn_cap=5, seed=7)
+        cfg = GameConfig(**{name: np.int64(v) for name, v in counts.items()})
+        assert cfg == GameConfig(**counts)
+        assert all(type(getattr(cfg, name)) is int for name in counts)
+
 
 class TestFiniteDiffGradient:
     def test_vanishes_when_states_identical(self):

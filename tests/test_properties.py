@@ -42,7 +42,7 @@ from qgan_sim.bloch import SIGMA_MODES, axis_xyz, generated_fidelity, state_xyz
 from qgan_sim.game import D_TURN, G_TURN, finite_diff_gradient, run_turn
 from qgan_sim.harness import ExperimentSpec, SigmaSpec, run_experiment
 from qgan_sim.noise import channel_xyz
-from qgan_sim.sampling import OutcomeEstimate
+from qgan_sim.sampling import OutcomeEstimate, _axis_side, _generated_side, _true_xyz
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -222,9 +222,8 @@ def read_out(*args) -> str:
 @given(calls=call_sequences(), v=bloch_vectors(), n=st.none() | shots, seed=seeds,
        branchwise=st.booleans())
 def test_reused_sigma_reads_out_as_a_fresh_one(calls, v, n, seed, branchwise):
-    # The estimator keeps each side of the read-out on sigma between calls;
-    # a reused state must give what a fresh state (no memo) gives, bit for
-    # bit, and reject what a fresh state rejects with the same message.
+    # A reused state must give what a fresh state gives, bit for bit, and
+    # reject what a fresh state rejects with the same message.
     matrix = density(v)
     sigma = DensityMatrix(matrix)
     rng = np.random.default_rng(seed)
@@ -233,12 +232,29 @@ def test_reused_sigma_reads_out_as_a_fresh_one(calls, v, n, seed, branchwise):
         kept = read_out(gen, meas, sigma, n, noise, rng, branchwise)
         fresh = read_out(gen, meas, DensityMatrix(matrix), n, noise, twin, branchwise)
         assert kept == fresh
-        if not kept.startswith("ValueError"):
-            # Each side's current entry is the one this call read out, so
-            # that an older entry hit becomes the current one.
-            assert all(a is b for a, b in zip(sigma._generated, (*gen, noise)))
-            assert all(a is b for a, b in zip(sigma._axis, (*meas, noise)))
     assert rng.random() == twin.random()
+
+
+@PROPERTY_SETTINGS
+@given(r=unit | st.sampled_from((0.0, 1.0)), angles4=st.tuples(angles, angles, angles, angles),
+       v=bloch_vectors(), noise=noises, n=st.none() | shots, seed=seeds,
+       branchwise=st.booleans())
+def test_built_sides_read_out_as_the_raw_input(r, angles4, v, noise, n, seed, branchwise):
+    # The game loop passes sides it built itself; each, alone or together,
+    # must read out what the raw parameters read out, draw for draw.
+    theta, phi, beta, gamma = angles4
+    sigma = DensityMatrix(density(v))
+    raw = ((r, theta, phi), (beta, gamma))
+    built = (
+        _generated_side(r, theta, phi, noise, branchwise),
+        _axis_side(beta, gamma, _true_xyz(sigma, noise)),
+    )
+    rng = np.random.default_rng(seed)
+    want = repr(estimate_d(*raw, sigma, n, noise, rng, branchwise))
+    for gen, meas in ((built[0], raw[1]), (raw[0], built[1]), built):
+        twin = np.random.default_rng(seed)
+        assert repr(estimate_d(gen, meas, sigma, n, noise, twin, branchwise)) == want
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # Below radius 0.95 both states keep eigenvalues >= 0.025; nearer the sphere

@@ -218,9 +218,22 @@ class TestEstimateD:
         b = estimate_d((0.37, 1.2, 0.4), (0.9, 2.2), sigma, 500, rng=np.random.default_rng(3))
         assert a == b
 
+    def test_a_side_cannot_be_forged_by_shape(self):
+        # Only the builders' own tuples are read as built: a tuple or a
+        # generator of floats as long as a built side is unpacked like any
+        # other input, and rejected.
+        sigma = DensityMatrix.pure_ground()
+        for gen in ((0.5,) * 8, (0.5 for _ in range(8))):
+            with pytest.raises(ValueError):
+                estimate_d(gen, (0.7, 0.2), sigma, None)
+        for meas in ((0.5,) * 7, (0.5 for _ in range(7))):
+            with pytest.raises(ValueError):
+                estimate_d((0.4, 1.1, 2.3), meas, sigma, None)
+
     def test_reused_true_state_follows_the_channel(self):
-        # The true state's post-channel vector is memoized on the state
-        # object; reusing that object under another channel must not reuse it.
+        # The true state's post-channel vector follows the channel of each
+        # call: reusing the state object under another channel reads out as a
+        # fresh state does.
         from qgan_sim import NoiseSettings
 
         gen = GeneratorParams(0.37, 1.2, 0.4)
@@ -251,8 +264,9 @@ class TestEstimateD:
             dataclasses.replace(est, d_hat=est.d_hat + 0.25)
 
     def test_bad_input_after_a_memo_hit_raises_unchanged(self):
-        # A valid call keeps both sides on sigma; a bad value arriving
-        # beside a kept side still gets the message a fresh state gives.
+        # A valid call before a bad one changes nothing: a bad value beside
+        # a side read out just before still gets the message a fresh state
+        # gives.
         sigma = DensityMatrix.pure_ground()
         r, theta, phi, beta, gamma = 0.6, 0.3, 1.1, 0.8, 2.0
         cases = [
@@ -264,7 +278,6 @@ class TestEstimateD:
         ]
         for gen, meas, message in cases:
             estimate_d((r, theta, phi), (beta, gamma), sigma, None)
-            assert sigma._generated[:3] == (r, theta, phi) and sigma._axis[:2] == (beta, gamma)
             for state in (sigma, DensityMatrix.pure_ground()):
                 with pytest.raises(ValueError) as err:
                     estimate_d(gen, meas, state, None)
