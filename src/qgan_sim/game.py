@@ -25,8 +25,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count
-from numbers import Integral
-from typing import Annotated, Literal, get_args
+from numbers import Integral, Real
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -65,14 +65,70 @@ Termination = Literal["equilibrium", "budget-exhausted"]
 D_TURN, G_TURN = get_args(Turn)
 TERMINATION_EQUILIBRIUM, TERMINATION_BUDGET = get_args(Termination)
 
-# A number within the bounds (low, high), which the document reader checks.
+# A number within the bounds (low, high), which ``check`` holds it to.
 Unit = Annotated[float, (0, 1)]
+Positive = Annotated[float, (0, None, "()")]
 
 # The game carries both strategies as one flat tuple in this order, from
 # the opening move to the trace; each player varies its own slice of it.
 PARAM_NAMES = ("r", "theta", "phi", "beta", "gamma")
 Params = tuple[Unit, float, float, float, float]
 _ACTIVE = {D_TURN: (3, 4), G_TURN: (0, 1, 2)}
+
+
+class ConfigError(ValueError):
+    """Config validation failure; carries the offending field name."""
+
+    def __init__(self, field_name: str, message: str) -> None:
+        super().__init__(f"{field_name}: {message}")
+        self.field_name = field_name
+
+
+def check(field_name: str, value, kind):
+    """``value`` read as ``kind``; a mismatch is a ConfigError naming ``field_name``.
+
+    ``int`` takes a numpy integer too, as an ``int``, and ``float`` any finite
+    real number, as a ``float``; neither takes a bool.  An ``Annotated`` number
+    has the bounds ``(low, high)`` or ``(low, high, ends)``: a ``high`` of None
+    is no upper bound, and ``ends`` such as ``"(]"`` opens an end (both are
+    closed when omitted).  A ``Literal`` takes its values, and a class, such as
+    ``bool`` or ``str``, its instances.
+    """
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, (int, Integral)):  # int first: fast
+            raise ConfigError(field_name, f"expected an integer, got {value!r}")
+        return int(value)
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+            raise ConfigError(field_name, f"expected a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the double range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(field_name, f"expected a finite number, got {value!r}")
+        return number
+    origin = get_origin(kind)
+    if origin is Annotated:
+        number, (bounds,) = check(field_name, value, kind.__origin__), kind.__metadata__
+        low, high, ends = bounds if len(bounds) == 3 else (*bounds, "[]")
+        above = low < number if ends[0] == "(" else low <= number
+        below = high is None or (number < high if ends[1] == ")" else number <= high)
+        if not (above and below):
+            if high is None:
+                within = f"{'more than' if ends[0] == '(' else 'at least'} {low}"
+            else:
+                within = f"a number in {ends[0]}{low}, {high}{ends[1]}"
+            raise ConfigError(field_name, f"expected {within}, got {number!r}")
+        return number
+    if origin is Literal:
+        if value not in get_args(kind):
+            raise ConfigError(field_name, f"expected one of {get_args(kind)}, got {value!r}")
+        return value
+    if not isinstance(value, kind):
+        what = {bool: "a boolean", str: "a string"}.get(kind, f"a {kind.__name__}")
+        raise ConfigError(field_name, f"expected {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -87,61 +143,29 @@ class GameConfig:
     budget of 500; mixed-state runs conventionally use 300.
     """
 
-    shots: int = 5000
-    fd_delta_angle: float = 0.1
-    fd_delta_r: float = 0.05
-    learning_rate: float = 0.2
-    r_rate_scale: float = 0.25
-    c_limit: int = 500
-    d_bound: float = 0.02
-    stall_window: int = 3
-    stall_tol: float = 0.02
+    shots: Annotated[int, (1, 2**63 - 1)] = 5000  # numpy's binomial takes int64 counts
+    fd_delta_angle: Positive = 0.1
+    fd_delta_r: Annotated[float, (0, 0.5, "(]")] = 0.05
+    learning_rate: Positive = 0.2
+    r_rate_scale: Positive = 0.25
+    c_limit: Annotated[int, (1, None)] = 500
+    d_bound: Annotated[float, (0, 1, "()")] = 0.02
+    stall_window: Annotated[int, (2, None)] = 3
+    stall_tol: Positive = 0.02
     g_threshold_base: float = 0.055
     g_threshold_slope: float = 0.01
-    g_threshold_floor: float = 0.02
-    per_turn_cap: int = 50
+    g_threshold_floor: Positive = 0.02
+    per_turn_cap: Annotated[int, (1, None)] = 50
     exact_mode: bool = False
     count_per_partial: bool = True
     branchwise: bool = False
     noise: NoiseSettings = field(default_factory=NoiseSettings)
-    seed: int = 0
+    seed: Annotated[int, (0, None)] = 0
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("shots", "c_limit", "stall_window", "per_turn_cap", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer as a plain int
-        for name in ("exact_mode", "count_per_partial", "branchwise"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")
-        if not (1 <= self.shots <= 2**63 - 1):  # numpy's binomial takes int64 counts
-            raise ValueError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
-        if not (0.0 < self.fd_delta_angle):
-            raise ValueError(f"fd_delta_angle must be positive, got {self.fd_delta_angle}")
-        if not (0.0 < self.fd_delta_r <= 0.5):
-            raise ValueError(f"fd_delta_r must be in (0, 0.5], got {self.fd_delta_r}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.r_rate_scale <= 0.0:
-            raise ValueError(f"r_rate_scale must be positive, got {self.r_rate_scale}")
-        if self.c_limit < 1:
-            raise ValueError(f"c_limit must be >= 1, got {self.c_limit}")
-        if not (0.0 < self.d_bound < 1.0):
-            raise ValueError(f"d_bound must be in (0, 1), got {self.d_bound}")
-        if self.stall_window < 2:
-            raise ValueError(f"stall_window must be >= 2, got {self.stall_window}")
-        if self.stall_tol <= 0.0:
-            raise ValueError(f"stall_tol must be positive, got {self.stall_tol}")
-        if self.g_threshold_floor <= 0.0:
-            raise ValueError(f"g_threshold_floor must be positive, got {self.g_threshold_floor}")
-        if self.per_turn_cap < 1:
-            raise ValueError(f"per_turn_cap must be >= 1, got {self.per_turn_cap}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        fields = vars(self)  # frozen: the checked values are stored past __setattr__
+        for name, kind in _GAME_CONFIG_KINDS.items():
+            fields[name] = check(name, fields[name], kind)
 
     def g_threshold(self, round_index: int) -> float:
         """Round threshold ending the generator's turn (floored schedule)."""
@@ -156,6 +180,10 @@ class GameConfig:
         if turn == D_TURN and d_hat < self.d_bound:
             return TERMINATION_EQUILIBRIUM
         return TERMINATION_BUDGET if c >= self.c_limit else None
+
+
+# GameConfig's field kinds, bounds included, read once for its constructor.
+_GAME_CONFIG_KINDS = get_type_hints(GameConfig, include_extras=True)
 
 
 @dataclass(frozen=True)

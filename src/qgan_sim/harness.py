@@ -11,7 +11,6 @@ digits.
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -26,8 +25,8 @@ import numpy as np
 
 from .bloch import _BALL_TOL, DensityMatrix, SIGMA_MODES, axis_xyz, random_true_state, state_xyz
 from .game import (
-    D_TURN, PARAM_NAMES, TERMINATION_BUDGET, GameConfig, GameTrace, Params, Termination, Unit,
-    run_game,
+    D_TURN, PARAM_NAMES, TERMINATION_BUDGET, ConfigError, GameConfig, GameTrace, Params,
+    Termination, Unit, check, run_game,
 )
 
 __all__ = [
@@ -70,14 +69,6 @@ SNAPSHOTS_HEADER = "step,rho_x,rho_y,rho_z,sigma_x,sigma_y,sigma_z,m_x,m_y,m_z"
 CDF_HEADER = "value,cumulative_probability"
 
 
-class ConfigError(ValueError):
-    """Config validation failure; carries the offending field name."""
-
-    def __init__(self, field_name: str, message: str) -> None:
-        super().__init__(f"{field_name}: {message}")
-        self.field_name = field_name
-
-
 @dataclass(frozen=True)
 class SigmaSpec:
     """How the true-data state is produced at game start."""
@@ -100,36 +91,11 @@ class ExperimentSpec:
 
 
 def _coerce(field_name: str, value, kind):
-    """``value`` read as ``kind``; a mismatch is a ConfigError naming ``field_name``."""
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(field_name, f"expected a boolean, got {value!r}")
-        return value
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(field_name, f"expected an integer, got {value!r}")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(field_name, f"expected a number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the double range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(field_name, f"expected a finite number, got {value!r}")
-        return number
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(field_name, f"expected a string, got {value!r}")
-        return value
+    """``value`` read as ``kind``; a mismatch is a ConfigError naming ``field_name``.
+    A scalar, bounded or literal kind is ``game.check``'s; this walks the rest."""
     origin, args = get_origin(kind), get_args(kind)
-    if origin is Annotated:  # a number within (low, high), high None for no upper bound
-        number, (low, high) = _coerce(field_name, value, args[0]), args[1]
-        if not low <= number <= (math.inf if high is None else high):
-            within = f"at least {low}" if high is None else f"a number in [{low}, {high}]"
-            raise ConfigError(field_name, f"expected {within}, got {number!r}")
-        return number
+    if kind in (bool, int, float, str) or origin is Annotated or origin is Literal:
+        return check(field_name, value, kind)
     if origin is list or origin is tuple:
         if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
             what = f"an array of {len(args)} items" if origin is tuple else "an array"
@@ -146,10 +112,6 @@ def _coerce(field_name: str, value, kind):
             _coerce(f"{field_name}.{k}", k, args[0]): _coerce(f"{field_name}.{k}", v, args[1])
             for k, v in value.items()
         }
-    if origin is Literal:
-        if value not in args:
-            raise ConfigError(field_name, f"expected one of {args}, got {value!r}")
-        return value
     if origin is UnionType and args[1] is type(None):  # X | None: null is a value
         return None if value is None else _coerce(field_name, value, args[0])
     if is_dataclass(kind):
@@ -232,7 +194,7 @@ def _build(where: str, cls, *args, **kwargs):
 
 
 # Top-level kinds: GameConfig's annotations, and a parser per block it lacks.
-_CONFIG_KINDS = {**get_type_hints(GameConfig), "sigma": _parse_sigma, "initial": _parse_initial}
+_CONFIG_KINDS = {**_kinds(GameConfig)[0], "sigma": _parse_sigma, "initial": _parse_initial}
 
 
 def resolve_seed(cli_seed: int | None, config_seed: int | None, env=os.environ) -> int:
@@ -260,7 +222,7 @@ def load_experiment(doc: dict, seed_override: int | None = None) -> ExperimentSp
     kwargs = _fields("", doc, _CONFIG_KINDS)
     blocks = {name: kwargs.pop(name) for name in ("sigma", "initial") if name in kwargs}
     kwargs["seed"] = resolve_seed(seed_override, kwargs.get("seed"))
-    return ExperimentSpec(game=_build("config", GameConfig, **kwargs), **blocks)
+    return ExperimentSpec(game=GameConfig(**kwargs), **blocks)
 
 
 def read_json(path: str | Path, where: str):

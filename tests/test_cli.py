@@ -309,7 +309,7 @@ class TestRejectedInput:
         "config, env, message",
         [
             ({}, "-5", "QGAN_SIM_SEED: expected a non-negative integer, got '-5'"),
-            ({"seed": -2}, None, "config: seed must be non-negative, got -2"),
+            ({"seed": -2}, None, "seed: expected at least 0, got -2"),
         ],
         ids=["environment", "config"],
     )

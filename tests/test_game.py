@@ -99,7 +99,20 @@ class TestGameConfig:
     def test_rejects_a_value_of_the_wrong_type(self, name, value):
         # A count must be an integer and a switch a bool: shots=50.5 used to
         # play a whole game whose result document its own reader rejects.
-        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+        with pytest.raises(ValueError, match=f"^{name}: expected an? "):
+            GameConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("noise", None), ("noise", {"depolarizing_eps": 0.1}),
+            ("learning_rate", "0.2"), ("learning_rate", True),
+        ],
+    )
+    def test_rejects_a_value_that_is_not_of_its_kind(self, name, value):
+        # These used to construct: noise=None played a whole game and then
+        # failed to write its result, and '0.2' raised a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{name}: "):
             GameConfig(**{name: value})
 
     def test_numpy_integers_are_stored_as_ints(self):

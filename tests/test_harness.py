@@ -517,6 +517,54 @@ class TestShotBound:
             GameConfig(shots=2**63)
 
 
+POSITIVE_FLOAT_FIELDS = (
+    "fd_delta_angle", "learning_rate", "r_rate_scale", "stall_tol", "g_threshold_floor",
+)
+# Each bounded GameConfig field: values on its closed edges or just inside
+# its open ones, and the next values beyond each edge.
+BOUNDS = [
+    ("shots", (1, 2**63 - 1), (0, 2**63)),
+    ("fd_delta_r", (0.5,), (math.nextafter(0.5, 1.0), 0.0)),
+    ("d_bound", (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)), (0.0, 1.0)),
+    ("stall_window", (2,), (1,)),
+    ("c_limit", (1,), (0,)),
+    ("per_turn_cap", (1,), (0,)),
+    ("seed", (0,), (-1,)),
+    *((name, (5e-324,), (0.0,)) for name in POSITIVE_FLOAT_FIELDS),
+]
+
+
+class TestBounds:
+    """Every bounded field holds the same edges in the constructor and in a
+    config file, and a value beyond an edge is named by its field."""
+
+    @pytest.mark.parametrize("name, inside, outside", BOUNDS)
+    def test_edges_accepted(self, name, inside, outside):
+        for value in inside:
+            assert getattr(GameConfig(**{name: value}), name) == value
+            assert getattr(load_experiment({name: value}).game, name) == value
+
+    @pytest.mark.parametrize("name, inside, outside", BOUNDS)
+    def test_beyond_each_edge_named(self, name, inside, outside):
+        for value in outside:
+            with pytest.raises(ValueError, match=f"^{name}"):
+                GameConfig(**{name: value})
+            with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+                load_experiment({name: value})
+
+    @pytest.mark.parametrize("name, inside, outside", BOUNDS)
+    def test_config_file_names_the_field_not_the_block(self, name, inside, outside):
+        for value in outside:
+            with pytest.raises(ConfigError) as info:
+                load_experiment({name: value})
+            assert info.value.field_name == name
+
+    def test_range_fault_reported_in_field_order(self):
+        with pytest.raises(ConfigError) as info:
+            load_experiment({"shots": 0, "noise": {"depolarizing_eps": 3.0}})
+        assert info.value.field_name == "shots"
+
+
 class TestAtomicWrites:
     """A failed write leaves the target as it was and no temp file behind."""
 
