@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
+from typing import Annotated, Literal, get_args, get_origin
 
 import numpy as np
 
@@ -53,6 +55,68 @@ _TRACE_TOL = 1e-12
 _EIG_TOL = 1e-12
 _HERMITY_TOL = 1e-9
 _SQRT_CLAMP = 1e-10        # negative sqrt arguments beyond this are an error
+
+# A number within the bounds (low, high), which ``check`` holds it to.
+Unit = Annotated[float, (0, 1)]
+Positive = Annotated[float, (0, None, "()")]
+Count = Annotated[int, (1, None)]
+
+
+class ConfigError(ValueError):
+    """Config validation failure; carries the offending field name."""
+
+    def __init__(self, field_name: str, message: str) -> None:
+        super().__init__(f"{field_name}: {message}")
+        self.field_name = field_name
+
+
+def check(field_name: str, value, kind):
+    """``value`` read as ``kind``; a mismatch is a ConfigError naming ``field_name``.
+
+    The one rule by which every module's config blocks and public helpers
+    check their values, so it sits here, below them all.  ``int`` takes a
+    numpy integer too, as an ``int``, and ``float`` any finite real number,
+    as a ``float``; neither takes a bool.  An ``Annotated`` number has the
+    bounds ``(low, high)`` or ``(low, high, ends)``: a ``high`` of None is no
+    upper bound, and ``ends`` such as ``"(]"`` opens an end (both are closed
+    when omitted).  A ``Literal`` takes its values, and a class, such as
+    ``bool`` or ``str``, its instances.
+    """
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, (int, Integral)):  # int first: fast
+            raise ConfigError(field_name, f"expected an integer, got {value!r}")
+        return int(value)
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+            raise ConfigError(field_name, f"expected a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the double range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(field_name, f"expected a finite number, got {value!r}")
+        return number
+    origin = get_origin(kind)
+    if origin is Annotated:
+        number, (bounds,) = check(field_name, value, kind.__origin__), kind.__metadata__
+        low, high, ends = bounds if len(bounds) == 3 else (*bounds, "[]")
+        above = low < number if ends[0] == "(" else low <= number
+        below = high is None or (number < high if ends[1] == ")" else number <= high)
+        if not (above and below):
+            if high is None:
+                within = f"{'more than' if ends[0] == '(' else 'at least'} {low}"
+            else:
+                within = f"a number in {ends[0]}{low}, {high}{ends[1]}"
+            raise ConfigError(field_name, f"expected {within}, got {number!r}")
+        return number
+    if origin is Literal:
+        if value not in get_args(kind):
+            raise ConfigError(field_name, f"expected one of {get_args(kind)}, got {value!r}")
+        return value
+    if not isinstance(value, kind):
+        what = {bool: "a boolean", str: "a string"}.get(kind, f"a {kind.__name__}")
+        raise ConfigError(field_name, f"expected {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

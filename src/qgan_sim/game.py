@@ -25,19 +25,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count
-from numbers import Integral, Real
-from typing import Annotated, Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_type_hints
 
 import numpy as np
 
 from .bloch import (
-    DensityMatrix,
-    GeneratorParams,
-    MeasurementParams,
-    fidelity,
-    generated_fidelity,
-    random_initial_params,
-    state_bloch,
+    Count, DensityMatrix, GeneratorParams, MeasurementParams, Positive, Unit, check, fidelity,
+    generated_fidelity, random_initial_params, state_bloch,
 )
 from .noise import NoiseSettings
 from .sampling import OutcomeEstimate, _axis_side, _generated_side, _true_xyz, estimate_d
@@ -65,70 +59,11 @@ Termination = Literal["equilibrium", "budget-exhausted"]
 D_TURN, G_TURN = get_args(Turn)
 TERMINATION_EQUILIBRIUM, TERMINATION_BUDGET = get_args(Termination)
 
-# A number within the bounds (low, high), which ``check`` holds it to.
-Unit = Annotated[float, (0, 1)]
-Positive = Annotated[float, (0, None, "()")]
-
 # The game carries both strategies as one flat tuple in this order, from
 # the opening move to the trace; each player varies its own slice of it.
 PARAM_NAMES = ("r", "theta", "phi", "beta", "gamma")
 Params = tuple[Unit, float, float, float, float]
 _ACTIVE = {D_TURN: (3, 4), G_TURN: (0, 1, 2)}
-
-
-class ConfigError(ValueError):
-    """Config validation failure; carries the offending field name."""
-
-    def __init__(self, field_name: str, message: str) -> None:
-        super().__init__(f"{field_name}: {message}")
-        self.field_name = field_name
-
-
-def check(field_name: str, value, kind):
-    """``value`` read as ``kind``; a mismatch is a ConfigError naming ``field_name``.
-
-    ``int`` takes a numpy integer too, as an ``int``, and ``float`` any finite
-    real number, as a ``float``; neither takes a bool.  An ``Annotated`` number
-    has the bounds ``(low, high)`` or ``(low, high, ends)``: a ``high`` of None
-    is no upper bound, and ``ends`` such as ``"(]"`` opens an end (both are
-    closed when omitted).  A ``Literal`` takes its values, and a class, such as
-    ``bool`` or ``str``, its instances.
-    """
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, (int, Integral)):  # int first: fast
-            raise ConfigError(field_name, f"expected an integer, got {value!r}")
-        return int(value)
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
-            raise ConfigError(field_name, f"expected a number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the double range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(field_name, f"expected a finite number, got {value!r}")
-        return number
-    origin = get_origin(kind)
-    if origin is Annotated:
-        number, (bounds,) = check(field_name, value, kind.__origin__), kind.__metadata__
-        low, high, ends = bounds if len(bounds) == 3 else (*bounds, "[]")
-        above = low < number if ends[0] == "(" else low <= number
-        below = high is None or (number < high if ends[1] == ")" else number <= high)
-        if not (above and below):
-            if high is None:
-                within = f"{'more than' if ends[0] == '(' else 'at least'} {low}"
-            else:
-                within = f"a number in {ends[0]}{low}, {high}{ends[1]}"
-            raise ConfigError(field_name, f"expected {within}, got {number!r}")
-        return number
-    if origin is Literal:
-        if value not in get_args(kind):
-            raise ConfigError(field_name, f"expected one of {get_args(kind)}, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        what = {bool: "a boolean", str: "a string"}.get(kind, f"a {kind.__name__}")
-        raise ConfigError(field_name, f"expected {what}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -148,14 +83,14 @@ class GameConfig:
     fd_delta_r: Annotated[float, (0, 0.5, "(]")] = 0.05
     learning_rate: Positive = 0.2
     r_rate_scale: Positive = 0.25
-    c_limit: Annotated[int, (1, None)] = 500
+    c_limit: Count = 500
     d_bound: Annotated[float, (0, 1, "()")] = 0.02
     stall_window: Annotated[int, (2, None)] = 3
     stall_tol: Positive = 0.02
     g_threshold_base: float = 0.055
     g_threshold_slope: float = 0.01
     g_threshold_floor: Positive = 0.02
-    per_turn_cap: Annotated[int, (1, None)] = 50
+    per_turn_cap: Count = 50
     exact_mode: bool = False
     count_per_partial: bool = True
     branchwise: bool = False

@@ -23,10 +23,12 @@ from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .bloch import _BALL_TOL, DensityMatrix, SIGMA_MODES, axis_xyz, random_true_state, state_xyz
+from .bloch import (
+    _BALL_TOL, SIGMA_MODES, ConfigError, Count, DensityMatrix, Unit, axis_xyz, check,
+    random_true_state, state_xyz,
+)
 from .game import (
-    D_TURN, PARAM_NAMES, TERMINATION_BUDGET, ConfigError, GameConfig, GameTrace, Params,
-    Termination, Unit, check, run_game,
+    D_TURN, PARAM_NAMES, TERMINATION_BUDGET, GameConfig, GameTrace, Params, Termination, run_game,
 )
 
 __all__ = [
@@ -71,10 +73,24 @@ CDF_HEADER = "value,cumulative_probability"
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """How the true-data state is produced at game start."""
+    """How the true-data state is produced at game start: ``bloch`` is the
+    vector of mode ``"fixed"``, stored as a tuple of floats, and of no other."""
 
-    mode: str = "pure-ground"
+    mode: Literal[SIGMA_MODES] = "pure-ground"
     bloch: tuple[float, float, float] | None = None
+
+    def __post_init__(self) -> None:
+        check("mode", self.mode, Literal[SIGMA_MODES])
+        if self.mode != "fixed":
+            if self.bloch is not None:
+                raise ConfigError("bloch", f"only valid with mode 'fixed', not {self.mode!r}")
+            return
+        if not isinstance(self.bloch, (list, tuple)) or len(self.bloch) != 3:
+            raise ConfigError("bloch", "fixed mode needs a 3-component Bloch vector")
+        bloch = tuple(check(f"bloch[{i}]", c, float) for i, c in enumerate(self.bloch))
+        if sum(c * c for c in bloch) > 1.0 + _BALL_TOL:
+            raise ConfigError("bloch", f"vector lies outside the unit ball: {list(bloch)}")
+        vars(self)["bloch"] = bloch  # frozen: stored past __setattr__
 
     def resolve(self, rng: np.random.Generator) -> DensityMatrix:
         return random_true_state(self.mode, rng, bloch=self.bloch)
@@ -92,7 +108,7 @@ class ExperimentSpec:
 
 def _coerce(field_name: str, value, kind):
     """``value`` read as ``kind``; a mismatch is a ConfigError naming ``field_name``.
-    A scalar, bounded or literal kind is ``game.check``'s; this walks the rest."""
+    A scalar, bounded or literal kind is ``bloch.check``'s; this walks the rest."""
     origin, args = get_origin(kind), get_args(kind)
     if kind in (bool, int, float, str) or origin is Annotated or origin is Literal:
         return check(field_name, value, kind)
@@ -159,22 +175,9 @@ def _fields(where: str, doc, kinds: dict, required=frozenset()) -> dict:
 
 
 def _parse_sigma(where: str, doc) -> SigmaSpec:
-    # bloch passes through as it is: what it must be depends on the mode.
-    block = _fields(where, doc, {"mode": str, "bloch": lambda where, raw: raw})
-    mode = block.get("mode", SigmaSpec.mode)
-    if mode not in SIGMA_MODES:
-        raise ConfigError(f"{where}.mode", f"expected one of {SIGMA_MODES}, got {mode!r}")
-    raw = block.get("bloch")
-    if mode != "fixed":
-        if raw is not None:
-            raise ConfigError(f"{where}.bloch", f"only valid with mode 'fixed', not {mode!r}")
-        return SigmaSpec(mode)
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ConfigError(f"{where}.bloch", "fixed mode needs a 3-component Bloch vector")
-    bloch = tuple(_coerce(f"{where}.bloch[{i}]", c, float) for i, c in enumerate(raw))
-    if sum(c * c for c in bloch) > 1.0 + _BALL_TOL:
-        raise ConfigError(f"{where}.bloch", f"vector lies outside the unit ball: {list(bloch)}")
-    return SigmaSpec(mode, bloch)
+    # Both fields pass through as they are: SigmaSpec checks them in its order.
+    block = _fields(where, doc, dict.fromkeys(("mode", "bloch"), lambda where, raw: raw))
+    return _build(where, SigmaSpec, **block)
 
 
 def _parse_initial(where: str, doc) -> Params:
@@ -186,9 +189,13 @@ def _parse_initial(where: str, doc) -> Params:
 
 
 def _build(where: str, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``; a ValueError from its checks names ``where``."""
+    """``cls(*args, **kwargs)``; a ValueError from its checks names ``where``,
+    and a ConfigError its field's path below ``where``."""
     try:
         return cls(*args, **kwargs)
+    except ConfigError as exc:
+        message = str(exc).removeprefix(f"{exc.field_name}: ")
+        raise ConfigError(f"{where}.{exc.field_name}", message) from exc
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from exc
 
@@ -281,10 +288,7 @@ def run_batch(
     ``traces_dir``, the process that plays game k writes its result document
     to ``traces_dir/game_<kkkk>.json`` and returns only its GameOutcome.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    count, jobs = check("count", count, Count), check("jobs", jobs, Count)
     items = [
         (replace(spec, game=replace(spec.game, seed=spec.game.seed + k)),
          None if traces_dir is None else Path(traces_dir) / TRACE_NAME.format(k))
@@ -304,12 +308,12 @@ def run_batch(
 class BatchSummary:
     """Aggregate statistics over a batch of games."""
 
-    games: Annotated[int, (1, None)]
+    games: Count
     mean_c_step: float
     mean_fidelity: Unit
     cdf_c_step: list[tuple[Annotated[float, (1, None)], float]]  # D steps in every game
     cdf_fidelity: list[tuple[Unit, float]]
-    termination_counts: dict[Termination, Annotated[int, (1, None)]]
+    termination_counts: dict[Termination, Count]
     config_echo: dict
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Literal, get_type_hints
 
-from .bloch import BlochVector
+from .bloch import BlochVector, Unit, check
 
 __all__ = ["NoiseSettings", "depolarize", "amplitude_damp", "apply_noise", "channel_xyz"]
 
@@ -26,19 +27,14 @@ class NoiseSettings:
     channel hits both states or only the generated one.
     """
 
-    depolarizing_eps: float = 0.0
-    amplitude_damping_gamma: float = 0.0
-    apply_to: str = "both"
+    depolarizing_eps: Unit = 0.0
+    amplitude_damping_gamma: Unit = 0.0
+    apply_to: Literal["both", "generated-only"] = "both"
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.depolarizing_eps <= 1.0):
-            raise ValueError(f"depolarizing_eps must be in [0, 1], got {self.depolarizing_eps}")
-        if not (0.0 <= self.amplitude_damping_gamma <= 1.0):
-            raise ValueError(
-                f"amplitude_damping_gamma must be in [0, 1], got {self.amplitude_damping_gamma}"
-            )
-        if self.apply_to not in ("both", "generated-only"):
-            raise ValueError(f"apply_to must be 'both' or 'generated-only', got {self.apply_to!r}")
+        fields = vars(self)  # frozen: the checked values are stored past __setattr__
+        for name, kind in _NOISE_KINDS.items():
+            fields[name] = check(name, fields[name], kind)
 
     @property
     def is_identity(self) -> bool:
@@ -55,10 +51,13 @@ class NoiseSettings:
         return cls(depolarizing_eps=0.08, amplitude_damping_gamma=0.08)
 
 
+# NoiseSettings' field kinds, bounds included, read once for its constructor.
+_NOISE_KINDS = get_type_hints(NoiseSettings, include_extras=True)
+
+
 def depolarize(v: BlochVector, eps: float) -> BlochVector:
     """Contract the Bloch vector toward the origin: v -> (1 - eps) v."""
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    eps = check("eps", eps, Unit)
     return BlochVector(*_depolarize(v.x, v.y, v.z, eps))
 
 
@@ -73,8 +72,7 @@ def amplitude_damp(v: BlochVector, gamma_ad: float) -> BlochVector:
     v -> (x sqrt(1-g), y sqrt(1-g), z (1-g) + g); the ground state is the
     fixed point, and g=1 maps everything onto it.
     """
-    if not (0.0 <= gamma_ad <= 1.0):
-        raise ValueError(f"gamma_ad must be in [0, 1], got {gamma_ad}")
+    gamma_ad = check("gamma_ad", gamma_ad, Unit)
     return BlochVector(*_amplitude_damp(v.x, v.y, v.z, gamma_ad))
 
 

@@ -15,11 +15,14 @@ from math import cos, isfinite, sin
 import numpy as np
 
 from .bloch import (  # noqa: F401  (bench/run.py traces the object forms here)
+    Count,
     DensityMatrix,
     GeneratorParams,
     MeasurementParams,
+    Unit,
     _probability,
     axis_xyz,
+    check,
     measurement_axis,
     outcome_probability,
     pure_axis,
@@ -55,10 +58,7 @@ class OutcomeEstimate:
 
 def sample_frequency(p: float, n: int, rng: np.random.Generator) -> float:
     """Observed frequency k/n with k ~ Binomial(n, p)."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability must be in [0, 1], got {p}")
-    if n < 1:
-        raise ValueError(f"shot count must be >= 1, got {n}")
+    p, n = check("probability", p, Unit), check("shot count", n, Count)
     return float(rng.binomial(n, p)) / n
 
 
@@ -68,10 +68,8 @@ def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
     sqrt(p_rho (1 - p_rho) / n + p_sigma (1 - p_sigma) / n); about
     1/sqrt(2n) near the d = 0 equilibrium where both probabilities are 1/2.
     """
-    if not (0.0 <= p_rho <= 1.0 and 0.0 <= p_sigma <= 1.0):
-        raise ValueError("probabilities must be in [0, 1]")
-    if n < 1:
-        raise ValueError(f"shot count must be >= 1, got {n}")
+    p_rho, p_sigma = check("p_rho", p_rho, Unit), check("p_sigma", p_sigma, Unit)
+    n = check("shot count", n, Count)
     return math.sqrt((p_rho * (1.0 - p_rho) + p_sigma * (1.0 - p_sigma)) / n)
 
 

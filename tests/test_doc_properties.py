@@ -20,7 +20,8 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qgan_sim import GameConfig, NoiseSettings
@@ -82,6 +83,30 @@ specs = st.builds(ExperimentSpec, game=configs, sigma=sigmas, initial=initials)
 @settings(max_examples=200, deadline=None)
 @given(specs)
 def test_config_document_reads_back_to_the_spec(spec):
+    doc = json.loads(json.dumps(spec_to_doc(spec), allow_nan=False))
+    assert load_experiment(doc) == spec
+
+
+# Numbers as a caller may hold them: ints, floats and numpy scalars.
+strengths = st.integers(0, 1) | unit | st.integers(0, 1).map(np.int64) | unit.map(np.float64)
+components = st.integers(-1, 1) | st.floats(-1.0, 1.0) | st.floats(-1.0, 1.0).map(np.float64)
+vectors = st.none() | st.tuples(components, components, components) | st.lists(
+    components | st.integers(-1, 1).map(np.int64), min_size=3, max_size=3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(SIGMA_MODES),
+    bloch=vectors,
+    noise=st.tuples(strengths, strengths, st.sampled_from(("both", "generated-only"))),
+)
+def test_a_directly_built_spec_reads_back_from_its_document(mode, bloch, noise):
+    try:
+        sigma = SigmaSpec(mode, bloch)
+    except ValueError:  # what a config file refuses too
+        reject()
+    spec = ExperimentSpec(GameConfig(noise=NoiseSettings(*noise)), sigma)
     doc = json.loads(json.dumps(spec_to_doc(spec), allow_nan=False))
     assert load_experiment(doc) == spec
 

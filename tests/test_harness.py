@@ -107,6 +107,12 @@ class TestLoadExperiment:
         with pytest.raises(ConfigError, match="noise"):
             load_experiment({"noise": {"depolarizing_eps": 3.0}})
 
+    def test_noise_bound_named_by_its_path(self):
+        message = "noise.depolarizing_eps: expected a number in [0, 1], got 3.0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
+            load_experiment({"noise": {"depolarizing_eps": 3}})
+        assert info.value.field_name == "noise.depolarizing_eps"
+
     def test_null_means_default_in_every_block(self):
         assert load_experiment({"noise": {"apply_to": None}}).game.noise.apply_to == "both"
         assert load_experiment({"sigma": {"mode": None}}).sigma == SigmaSpec()
@@ -255,6 +261,28 @@ class TestSigmaSpec:
         ball = SigmaSpec("bloch-ball").resolve(np.random.default_rng(1))
         assert ball.to_bloch().norm() <= 1.0
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (("warm",), {}, "mode: expected one of "
+                            "('pure-ground', 'bloch-ball', 'fixed', 'hilbert-schmidt'), got 'warm'"),
+            (("fixed",), {}, "bloch: fixed mode needs a 3-component Bloch vector"),
+            (("fixed", (2.0, 0.0, 0.0)), {},
+             "bloch: vector lies outside the unit ball: [2.0, 0.0, 0.0]"),
+            (("bloch-ball",), {"bloch": (0.9, 0.0, 0.0)},
+             "bloch: only valid with mode 'fixed', not 'bloch-ball'"),
+        ],
+        ids=["unknown-mode", "fixed-without-vector", "outside-ball", "vector-not-fixed"],
+    )
+    def test_a_spec_a_config_file_refuses_fails_at_construction(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SigmaSpec(*args, **kwargs)
+
+    def test_fixed_vector_stored_as_plain_floats(self):
+        spec = SigmaSpec("fixed", [0, np.float64(0.5), np.int64(0)])
+        assert spec.bloch == (0.0, 0.5, 0.0)
+        assert {type(c) for c in spec.bloch} == {float}
+
 
 class TestTraceRoundTrip:
     def test_json_document_reparses_to_equal_trace(self):
@@ -268,6 +296,33 @@ class TestTraceRoundTrip:
         trace = run_experiment(spec)
         doc = json.loads(json.dumps(trace_to_doc(trace)))
         assert trace_from_doc(doc) == trace
+
+    def test_numpy_noise_strengths_record_plain_floats(self, tmp_path):
+        noise = NoiseSettings(np.float64(0.08), np.float64(0.08))
+        game = GameConfig(exact_mode=True, c_limit=40, noise=noise, seed=3)
+        spec = ExperimentSpec(game, SigmaSpec("bloch-ball"))
+        trace = run_experiment(spec)
+        recorded = [
+            trace.config.noise.depolarizing_eps, trace.config.noise.amplitude_damping_gamma,
+            trace.final_fidelity,
+            *(x for rec in trace.steps for x in (
+                *rec.params_after, rec.estimate.p_rho_hat, rec.estimate.p_sigma_hat,
+                rec.estimate.d_hat, rec.fidelity_ideal,
+            )),
+        ]
+        assert {type(x) for x in recorded} == {float}
+        write_json(spec_to_doc(spec), tmp_path / "config.json")
+        from_file = run_experiment(harness_mod.load_experiment_file(tmp_path / "config.json"))
+        assert trace_to_doc(from_file) == trace_to_doc(trace)
+
+    def test_integer_noise_strengths_written_as_a_config_file_writes_them(self):
+        game = {"exact_mode": True, "c_limit": 20, "seed": 1}
+        direct = ExperimentSpec(GameConfig(**game, noise=NoiseSettings(1, 0)))
+        noise = {"depolarizing_eps": 1, "amplitude_damping_gamma": 0}
+        read = load_experiment({**game, "noise": noise})
+        text = json.dumps(trace_to_doc(run_experiment(direct)))
+        assert '"depolarizing_eps": 1.0' in text
+        assert text == json.dumps(trace_to_doc(run_experiment(read)))
 
     def test_wrong_schema_rejected(self):
         trace = run_experiment(fast_spec(seed=4))
@@ -387,6 +442,12 @@ class TestBatch:
             run_batch(fast_spec(), 0)
         with pytest.raises(ValueError):
             run_batch(fast_spec(), 3, jobs=0)
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(ValueError, match="^count: expected an integer, got 1.5$"):
+            run_batch(fast_spec(), 1.5)
+        with pytest.raises(ValueError, match="^jobs: expected an integer, got True$"):
+            run_batch(fast_spec(), 2, jobs=True)
 
     def test_summarize_nothing_rejected(self):
         with pytest.raises(ValueError, match="no traces"):

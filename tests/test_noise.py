@@ -39,6 +39,10 @@ class TestDepolarize:
         with pytest.raises(ValueError, match="eps"):
             depolarize(BlochVector(0, 0, 1), 1.5)
 
+    def test_rejects_a_string_naming_the_argument(self):
+        with pytest.raises(ValueError, match="^eps: expected a number, got '0.1'$"):
+            depolarize(BlochVector(0, 0, 1), "0.1")
+
 
 class TestAmplitudeDamp:
     def test_zero_strength_is_identity(self):
@@ -73,6 +77,17 @@ class TestNoiseSettings:
             NoiseSettings(amplitude_damping_gamma=-0.5)
         with pytest.raises(ValueError, match="apply_to"):
             NoiseSettings(apply_to="everything")
+
+    def test_rejects_a_string_or_a_bool_naming_the_field(self):
+        with pytest.raises(ValueError, match="^depolarizing_eps: expected a number, got '0.1'$"):
+            NoiseSettings(depolarizing_eps="0.1")
+        with pytest.raises(ValueError, match="^depolarizing_eps: expected a number, got True$"):
+            NoiseSettings(True)
+
+    def test_strengths_stored_as_plain_floats(self):
+        settings = NoiseSettings(np.float64(0.08), 1)
+        assert (settings.depolarizing_eps, settings.amplitude_damping_gamma) == (0.08, 1.0)
+        assert type(settings.depolarizing_eps) is type(settings.amplitude_damping_gamma) is float
 
     def test_preset_is_documented_shape(self):
         preset = NoiseSettings.decoherence_preset()

@@ -40,6 +40,11 @@ class TestSampleFrequency:
         with pytest.raises(ValueError, match="shot count"):
             sample_frequency(0.5, 0, np.random.default_rng(0))
 
+    def test_rejects_a_fractional_shot_count(self):
+        # numpy truncates n to 2, so k / 2.5 would be no frequency of n shots.
+        with pytest.raises(ValueError, match="^shot count: expected an integer, got 2.5$"):
+            sample_frequency(0.5, 2.5, np.random.default_rng(0))
+
     def test_standard_deviation_matches_binomial(self):
         # Oracle: sd of k/n is sqrt(p (1-p) / n) = 0.00707 at p=1/2, n=5000.
         rng = np.random.default_rng(42)
