@@ -312,7 +312,10 @@ def run_game(
     """Play one full adversarial game and record every step.
 
     ``initial`` is the opening (r, theta, phi, beta, gamma), drawn from
-    ``rng`` when omitted; the estimator checks its values before any draw.
+    ``rng`` when omitted.  A plain float is taken as given, for the
+    estimator to check before any draw; any other value is read as its
+    ``Params`` kind, named as a config file names it (``initial.r``), and
+    stored as a float.
 
     The discriminator always opens each round.  Equilibrium is declared
     when its optimized d falls below ``d_bound``; otherwise the game stops
@@ -321,9 +324,16 @@ def run_game(
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    p = random_initial_params(rng) if initial is None else tuple(initial)
-    if len(p) != len(PARAM_NAMES):
-        raise ValueError(f"initial must be ({', '.join(PARAM_NAMES)}), got {initial!r}")
+    if initial is None:
+        p = random_initial_params(rng)
+    else:
+        p = tuple(initial)
+        if len(p) != len(PARAM_NAMES):
+            raise ValueError(f"initial must be ({', '.join(PARAM_NAMES)}), got {initial!r}")
+        p = tuple(
+            x if type(x) is float else check(f"initial.{name}", x, kind)
+            for name, kind, x in zip(PARAM_NAMES, get_args(Params), p)
+        )
     steps: list[StepRecord] = []
     last: OutcomeEstimate | None = None
     c = 0

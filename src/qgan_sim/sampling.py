@@ -3,7 +3,9 @@
 Each estimate measures both states with the same shot count n and reports
 the observed frequencies together with their difference d_hat.  Counts are
 exact binomial draws (numpy's inversion/BTPE sampler), never a normal
-approximation, so small-n tails are honest.
+approximation, so small-n tails are honest.  Each is drawn by calling that
+C sampler directly on the caller's generator (``_draws``): the count and the
+generator's next state are those of ``rng.binomial(n, p)``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .bloch import (  # noqa: F401  (bench/run.py traces the object forms here)
     pure_axis,
     state_bloch,
 )
+from ._draws import binomial, bitgen, refused
 from .noise import NoiseSettings, apply_noise, channel_xyz
 
 __all__ = ["OutcomeEstimate", "sample_frequency", "estimate_d", "d_standard_deviation"]
@@ -59,7 +62,10 @@ class OutcomeEstimate:
 def sample_frequency(p: float, n: int, rng: np.random.Generator) -> float:
     """Observed frequency k/n with k ~ Binomial(n, p)."""
     p, n = check("probability", p, Unit), check("shot count", n, Count)
-    return float(rng.binomial(n, p)) / n
+    count = binomial(bitgen(rng), n, p)
+    if count < 0:
+        raise refused(count)
+    return float(count) / n
 
 
 def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
@@ -139,36 +145,56 @@ def estimate_d(
     sides built once by ``_generated_side`` and ``_axis_side`` for this
     call's sigma, noise and branchwise, which are read as given.
     """
+    raw = False  # a caller's own parameters, not sides ``run_turn`` built
     if not (type(gen) is tuple and gen and gen[0] is _SIDE):
         r, theta, phi = gen
-        gen = _generated_side(r, theta, phi, noise, branchwise)
+        gen, raw = _generated_side(r, theta, phi, noise, branchwise), True
     if not (type(meas) is tuple and meas and meas[0] is _SIDE):
         beta, gamma = meas
-        meas = _axis_side(beta, gamma, _true_xyz(sigma, noise))
+        meas, raw = _axis_side(beta, gamma, _true_xyz(sigma, noise)), True
     if shots is not None:
         if rng is None:
             raise ValueError("shot-limited estimation requires a random generator")
-        if shots < 1:
-            raise ValueError(f"shot count must be >= 1, got {shots}")
+        if raw:  # run_turn's count is GameConfig's, checked there
+            shots = check("shot count", shots, Count)
+        state = bitgen(rng)
     if shots is not None and branchwise:
         # Physically faithful two-stage draw: pick the prepared branch per
         # shot, then the detection outcome.  Marginally identical to
         # Binomial(n, p_rho).
         branches = gen[7]
         mx, my, mz = meas[3], meas[4], meas[5]
-        k_main = rng.binomial(shots, gen[1])
-        hits = rng.binomial(k_main, _probability(mx, my, mz, *branches[0])) if k_main > 0 else 0
+        k_main = binomial(state, shots, gen[1])
+        if k_main < 0:
+            raise refused(k_main)
+        hits = 0
+        if k_main > 0:
+            hits = binomial(state, k_main, _probability(mx, my, mz, *branches[0]))
+            if hits < 0:
+                raise refused(hits)
         rest = shots - k_main
         if rest > 0:
-            hits += rng.binomial(rest, _probability(mx, my, mz, *branches[1]))
+            k_alt = binomial(state, rest, _probability(mx, my, mz, *branches[1]))
+            if k_alt < 0:
+                raise refused(k_alt)
+            hits += k_alt
         p_rho = float(hits) / shots
     else:
         # _probability, inline: p_rho serves the exact and the plain shot read-out.
         p = 0.5 * (1.0 + (meas[3] * gen[4] + meas[4] * gen[5] + meas[5] * gen[6]))
         p_rho = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
         if shots is not None:
-            p_rho = float(rng.binomial(shots, p_rho)) / shots
-    p_sigma = meas[6] if shots is None else float(rng.binomial(shots, meas[6])) / shots
+            count = binomial(state, shots, p_rho)
+            if count < 0:
+                raise refused(count)
+            p_rho = float(count) / shots
+    if shots is None:
+        p_sigma = meas[6]
+    else:
+        count = binomial(state, shots, meas[6])
+        if count < 0:
+            raise refused(count)
+        p_sigma = float(count) / shots
     # The kernel's trusted build: its frequencies lie in [0, 1], d_hat is
     # their difference and shots was checked, so ``__post_init__`` would
     # find nothing; the fields are stored as the constructor would store them.

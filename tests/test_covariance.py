@@ -15,19 +15,21 @@ rounding alone reaches there. The turned twin is held to K times that floor
 (or TOL), and compared up to the first stop decision whose margin is under
 K times the floor (or MARGIN), which those bits could decide either way, or
 up to where the one-ulp game itself departs. numpy's binomial sampler
-branches on p as well, so in shot mode the two games' draws are logged, and
-compared up to the first whose probabilities differ within MARGIN of a
-branch point: a p of 0 takes no uniform at all, while one ulp above it does.
+branches on p as well, so in shot mode the two games' draws are logged where
+the estimator calls the sampler, and compared up to the first whose
+probabilities differ within MARGIN of a branch point: a p of 0 takes no
+uniform at all, while one ulp above it does.
 """
 
 import math
 from itertools import groupby
+from unittest import mock
 
 import numpy as np
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from qgan_sim import BlochVector, DensityMatrix, GameConfig, NoiseSettings, run_game
+from qgan_sim import BlochVector, DensityMatrix, GameConfig, NoiseSettings, run_game, sampling
 from qgan_sim.game import D_TURN
 
 MARGIN = 1e-9
@@ -87,16 +89,25 @@ def turned(v, alpha):
 
 
 class DrawLog:
-    """A seeded generator that logs every binomial draw as (n, p, count)."""
+    """Logs every binomial draw of the games played under it as (n, p, count),
+    standing in for the sampler entry that ``sampling`` draws through."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self):
+        self.draw = sampling.binomial
         self.draws = []
 
-    def binomial(self, n, p):
-        count = self.rng.binomial(n, p)
+    def __call__(self, state, n, p):
+        count = self.draw(state, n, p)
         self.draws.append((n, p, count))
         return count
+
+
+def logged_game(sigma, config, initial):
+    """``run_game`` on a fresh generator at the config's seed, and its draws."""
+    log = DrawLog()
+    with mock.patch.object(sampling, "binomial", log):
+        trace = run_game(sigma, config, rng=np.random.default_rng(config.seed), initial=initial)
+    return trace, log.draws
 
 
 def first_unstable_draw(a, b) -> int | None:
@@ -256,12 +267,11 @@ DRIFTING = dict(
 )
 def test_game_is_covariant_under_a_turn_about_z(config, v, opening, alpha):
     r, theta, phi, beta, gamma = opening
-    log_a, log_b = DrawLog(config.seed), DrawLog(config.seed)
-    a = run_game(DensityMatrix.from_bloch(BlochVector(*v)), config, rng=log_a, initial=opening)
-    b = run_game(DensityMatrix.from_bloch(BlochVector(*turned(v, alpha))), config, rng=log_b,
-                 initial=(r, theta, phi + alpha, beta, gamma + alpha))
+    a, draws_a = logged_game(DensityMatrix.from_bloch(BlochVector(*v)), config, opening)
+    b, draws_b = logged_game(DensityMatrix.from_bloch(BlochVector(*turned(v, alpha))), config,
+                             (r, theta, phi + alpha, beta, gamma + alpha))
     ulp = None
     if config.exact_mode:  # draws nothing, so needs no generator of its own
         up = (r, theta, math.nextafter(phi, math.inf), beta, math.nextafter(gamma, math.inf))
         ulp = run_game(DensityMatrix.from_bloch(BlochVector(*v)), config, initial=up)
-    assert_plays_alike(a, b, alpha, log_a.draws, log_b.draws, ulp)
+    assert_plays_alike(a, b, alpha, draws_a, draws_b, ulp)

@@ -32,6 +32,7 @@ from qgan_sim.game import (
     TERMINATION_EQUILIBRIUM,
     StepRecord,
 )
+from qgan_sim.harness import trace_from_doc, trace_to_doc
 
 GROUND = DensityMatrix.pure_ground()
 
@@ -413,6 +414,30 @@ class TestRunGame:
         with pytest.raises(ValueError, match=message):
             run_game(sigma, GameConfig(exact_mode=exact_mode, seed=0), rng=rng, initial=initial)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            ((True, 0.0, 0.0, 0.0, 0.0), "^initial.r: expected a number, got True$"),
+            ((0.5, 0.0, "1", 0.0, 0.0), "^initial.phi: expected a number, got '1'$"),
+            ((2, 0.0, 0.0, 0.0, 0.0), r"^initial.r: expected a number in \[0, 1\], got 2.0$"),
+        ],
+    )
+    def test_an_opening_that_is_not_floats_is_named(self, initial, message):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            run_game(GROUND, GameConfig(seed=0), rng=rng, initial=initial)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_an_opening_is_recorded_as_plain_floats(self):
+        # Integers and numpy floats are stored as floats, so the document
+        # the writer writes reads back.
+        config = exact_config(c_limit=2)
+        trace = run_game(GROUND, config, initial=(1, 0, np.float64(0.25), 0, 0))
+        assert trace.steps[0].params_after[:3] == (1.0, 0.0, 0.25)
+        assert all(type(x) is float for rec in trace.steps for x in rec.params_after)
+        assert trace == run_game(GROUND, config, initial=(1.0, 0.0, 0.25, 0.0, 0.0))
+        assert trace_from_doc(trace_to_doc(trace)) == trace
 
     def test_step_counting_per_partial(self):
         trace = run_game(GROUND, exact_config(seed=5, count_per_partial=True))

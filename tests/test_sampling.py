@@ -215,6 +215,19 @@ class TestEstimateD:
             with pytest.raises(ValueError, match="shot count"):
                 estimate_d((0.5, 0.0, 0.0), (0.0, 0.0), sigma, n, rng=rng)
 
+    def test_shot_count_is_read_as_an_integer(self):
+        # A caller's own parameters have their shot count checked like any
+        # config count: 2.5 would draw Binomial(2, p) and divide by 2.5.
+        sigma = DensityMatrix.pure_ground()
+        for n in (2.5, True, "5"):
+            with pytest.raises(ValueError, match=f"^shot count: expected an integer, got {n!r}$"):
+                estimate_d((0.5, 0.0, 0.0), (0.0, 0.0), sigma, n, rng=np.random.default_rng(0))
+        est = estimate_d((0.5, 0.0, 0.0), (0.0, 0.0), sigma, np.int64(50),
+                         rng=np.random.default_rng(0))
+        assert type(est.shots) is int
+        assert est == estimate_d((0.5, 0.0, 0.0), (0.0, 0.0), sigma, 50,
+                                 rng=np.random.default_rng(0))
+
     def test_tuple_and_object_inputs_agree(self):
         gen = GeneratorParams(0.37, 1.2, 0.4)
         meas = MeasurementParams(0.9, 2.2)
