@@ -4,75 +4,81 @@
 sampler behind ``numpy.random.Generator.binomial``, on that generator's bit
 generator: it returns the count ``rng.binomial(n, p)`` would, and moves the
 stream exactly as that call would, without the Python method call around the
-C.  It refuses what numpy refuses (n < 0; p NaN or outside [0, 1]) with a
-negative code that ``refused`` turns into numpy's ``ValueError``.
-``bitgen(rng)`` is the generator's ``bitgen_t *``, resolved once per
-generator.  Unlike ``rng.binomial`` the draw takes no generator lock, and
-cffi releases the GIL around it, so one generator must never be drawn from
-by two threads at once; a game owns its generator.
+C.  It refuses what numpy refuses (n < 0; p NaN or outside [0, 1]) with
+numpy's own ``ValueError``, before it draws.  ``bitgen(rng)`` is the
+generator's ``BitGenerator`` capsule, resolved once per generator.  Unlike
+``rng.binomial`` the draw takes no generator lock; it holds the GIL, and a
+game owns its generator.
 
-The C is compiled by cffi once per C source, numpy, cffi and Python ABI, in
-a child process, into ``$XDG_CACHE_HOME/qgan_sim/<key>/`` (``~/.cache`` when
-unset).  An import loads it from there, and the first generator resolved
-checks it against ``rng.binomial`` before anything draws through it.  There
-is no other draw path: a module that cannot be built, loaded or checked
-raises an ``ImportError`` that says why (DECISIONS.md, "Draws call numpy's
-C sampler").
+The C is one function of a plain CPython extension, compiled once per C
+source, numpy and Python ABI, with the shared-library command Python builds
+its own extensions with (``CC`` replaces its compiler), into
+``$XDG_CACHE_HOME/qgan_sim/<key>/`` (``~/.cache`` when unset).  An import
+loads it from there, and the first generator resolved checks it against
+``rng.binomial`` before anything draws through it.  There is no other draw
+path: a module that cannot be built, loaded or checked raises an
+``ImportError`` that says why (DECISIONS.md, "Draws call numpy's C sampler").
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
-import sys
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
-try:
-    import _cffi_backend
-except ImportError as exc:
-    raise ImportError("qgan_sim draws through a cffi module: install cffi") from exc
-
-__all__ = ["binomial", "bitgen", "refused"]
+__all__ = ["binomial", "bitgen"]
 
 _NAME = "_qgan_draws"
-_CDEF = """
-typedef struct bitgen bitgen_t;
-int64_t qgan_binomial(bitgen_t *bitgen, int64_t n, double p);
-"""
 _SOURCE = r"""
 #include "numpy/random/distributions.h"
 
-static int64_t qgan_binomial(bitgen_t *bitgen, int64_t n, double p)
+static PyObject *
+binomial(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
+    bitgen_t *bitgen;
+    long long n;
+    double p;
     /* numpy's per-(n, p) setup, computed afresh: it is a pure function of
        (n, p), so the count is the one the generator's own cache gives. */
     binomial_t setup;
-    if (n < 0)
-        return -1;
-    if (!(p >= 0.0 && p <= 1.0))
-        return -2;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "binomial() takes 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    bitgen = PyCapsule_GetPointer(args[0], "BitGenerator");
+    if (bitgen == NULL)
+        return NULL;
+    n = PyLong_AsLongLong(args[1]);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    p = PyFloat_AsDouble(args[2]);
+    if (p == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(p >= 0.0 && p <= 1.0)) {  /* numpy's messages, in numpy's order */
+        PyErr_SetString(PyExc_ValueError, "p < 0, p > 1 or p is NaN");
+        return NULL;
+    }
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "n < 0");
+        return NULL;
+    }
     setup.has_binomial = 0;
-    return random_binomial(bitgen, p, n, &setup);
+    return PyLong_FromLongLong(random_binomial(bitgen, p, n, &setup));
 }
-"""
-# numpy's own messages for the input its Generator.binomial refuses, by code.
-_REFUSED = {-1: "n < 0", -2: "p < 0, p > 1 or p is NaN"}
 
-# Run as `python -c _BUILD <out dir> <file name> <cdef> <source> <include dir>
-# <lib dir>`, so that cffi's parser and setuptools load only in the child.
-_BUILD = """
-import os, sys
-from cffi import FFI
-out, filename, cdef, source, include_dir, lib_dir = sys.argv[1:]
-ffi = FFI()
-ffi.cdef(cdef)
-ffi.set_source(%r, source, include_dirs=[include_dir], library_dirs=[lib_dir],
-               libraries=["npyrandom", "m"])
-os.replace(ffi.compile(tmpdir=out), os.path.join(out, filename))
-""" % _NAME
+static PyMethodDef methods[] = {
+    {"binomial", (PyCFunction)(void (*)(void))binomial, METH_FASTCALL,
+     "binomial(capsule, n, p): numpy's Binomial(n, p) count on the capsule's bit generator."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_qgan_draws", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit__qgan_draws(void) { return PyModule_Create(&module); }
+"""
 
 # Drawn by ``_check`` through the module and through numpy, from twin
 # generators.  p takes both ends and the smallest steps inside them, and
@@ -100,11 +106,20 @@ def _cache_root() -> str:
 
 def _module_path() -> str:
     suffix = EXTENSION_SUFFIXES[0]
-    key = zlib.crc32(
-        "\0".join((_CDEF, _SOURCE, _BUILD, np.__version__, _cffi_backend.__version__, suffix))
-        .encode()
-    )
+    key = zlib.crc32("\0".join((_SOURCE, np.__version__, suffix)).encode())
     return os.path.join(_cache_root(), f"numpy-{np.__version__}-{key:08x}", _NAME + suffix)
+
+
+def _compiler() -> list[str]:
+    """Python's shared-library command, its compiler replaced by ``CC`` when
+    that is set, as distutils' ``customize_compiler`` does."""
+    import sysconfig
+
+    command = [*sysconfig.get_config_var("LDSHARED").split(),
+               *sysconfig.get_config_var("CCSHARED").split()]
+    if os.environ.get("CC"):
+        command[:1] = os.environ["CC"].split()
+    return command
 
 
 def _missing() -> list[str]:
@@ -113,13 +128,9 @@ def _missing() -> list[str]:
     import sysconfig
 
     missing = []
-    if importlib.util.find_spec("cffi") is None:
-        missing.append("the cffi package")
-    if sys.version_info >= (3, 12) and importlib.util.find_spec("setuptools") is None:
-        missing.append("setuptools (Python 3.12 has no distutils)")
-    compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
-    if compiler and shutil.which(compiler[0]) is None:
-        missing.append(f"a C compiler ({compiler[0]} is not on PATH)")
+    compiler = _compiler()[0]
+    if shutil.which(compiler) is None:
+        missing.append(f"a C compiler ({compiler} is not on PATH)")
     for what, path in (
         ("Python's C headers", os.path.join(sysconfig.get_paths()["include"], "Python.h")),
         ("numpy's sampler header",
@@ -132,9 +143,10 @@ def _missing() -> list[str]:
 
 
 def _build(path: str) -> None:
-    """Compile the module in a child process and move it into place at ``path``."""
+    """Compile the module and move it into place at ``path``."""
     import shutil
     import subprocess
+    import sysconfig
     import tempfile
 
     missing = _missing()
@@ -154,10 +166,12 @@ def _build(path: str) -> None:
             "set XDG_CACHE_HOME to a writable directory"
         ) from exc
     try:
-        name = os.path.basename(path)
+        source, built = os.path.join(tmp, _NAME + ".c"), os.path.join(tmp, os.path.basename(path))
+        with open(source, "w") as f:
+            f.write(_SOURCE)
         done = subprocess.run(
-            [sys.executable, "-c", _BUILD, tmp, name, _CDEF, _SOURCE, np.get_include(),
-             _lib_dir()],
+            [*_compiler(), "-I", sysconfig.get_paths()["include"], "-I", np.get_include(),
+             source, "-L", _lib_dir(), "-lnpyrandom", "-lm", "-o", built],
             capture_output=True, text=True,
         )
         if done.returncode != 0:
@@ -166,7 +180,7 @@ def _build(path: str) -> None:
                 f"qgan_sim could not build its binomial kernel for numpy {np.__version__} "
                 f"(exit {done.returncode}):\n{tail}"
             )
-        os.replace(os.path.join(tmp, name), path)
+        os.replace(built, path)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -184,7 +198,7 @@ def _load():
 def _check() -> None:
     """Refuse a numpy whose ``Generator.binomial`` the module does not reproduce."""
     ours, numpys = np.random.default_rng(_CHECK_SEED), np.random.default_rng(_CHECK_SEED)
-    state = _cast("bitgen_t *", ours.bit_generator.ctypes.bit_generator.value)
+    state = ours.bit_generator.capsule
     got = [binomial(state, n, p) for n, p in _CHECK_DRAWS]
     want = [int(numpys.binomial(n, p)) for n, p in _CHECK_DRAWS]
     if got != want or ours.random() != numpys.random():
@@ -195,27 +209,21 @@ def _check() -> None:
 
 
 _module = _load()
-_cast = _module.ffi.cast
-binomial = _module.lib.qgan_binomial
-_last = (None, None)  # the last generator resolved, and its bitgen_t *
+binomial = _module.binomial
+_last = (None, None)  # the last generator resolved, and its capsule
 _checked = False
 
 
 def bitgen(rng: np.random.Generator):
-    """``rng``'s ``bitgen_t *``; the last generator's is kept, so a game
-    resolves its own once.  Keeping the generator keeps the pointer valid.
-    The first generator resolved in a process runs ``_check`` first."""
+    """``rng``'s ``BitGenerator`` capsule; the last generator's is kept, so a
+    game resolves its own once.  Keeping the generator keeps the capsule's
+    pointer valid.  The first generator resolved in a process runs ``_check``
+    first."""
     global _last, _checked
     last = _last
     if last[0] is not rng:
         if not _checked:
             _check()
             _checked = True
-        last = _last = (rng, _cast("bitgen_t *", rng.bit_generator.ctypes.bit_generator.value))
+        last = _last = (rng, rng.bit_generator.capsule)
     return last[1]
-
-
-def refused(code: int) -> ValueError:
-    """The ValueError ``rng.binomial`` raises for the input ``binomial``
-    refused with ``code``."""
-    return ValueError(_REFUSED[code])

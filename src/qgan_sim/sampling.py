@@ -30,7 +30,7 @@ from .bloch import (  # noqa: F401  (bench/run.py traces the object forms here)
     pure_axis,
     state_bloch,
 )
-from ._draws import binomial, bitgen, refused
+from ._draws import binomial, bitgen
 from .noise import NoiseSettings, apply_noise, channel_xyz
 
 __all__ = ["OutcomeEstimate", "sample_frequency", "estimate_d", "d_standard_deviation"]
@@ -62,10 +62,7 @@ class OutcomeEstimate:
 def sample_frequency(p: float, n: int, rng: np.random.Generator) -> float:
     """Observed frequency k/n with k ~ Binomial(n, p)."""
     p, n = check("probability", p, Unit), check("shot count", n, Count)
-    count = binomial(bitgen(rng), n, p)
-    if count < 0:
-        raise refused(count)
-    return float(count) / n
+    return float(binomial(bitgen(rng), n, p)) / n
 
 
 def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
@@ -92,7 +89,7 @@ def _true_xyz(sigma: DensityMatrix, noise: NoiseSettings | None) -> tuple[float,
 
 
 def _generated_side(r, theta, phi, noise: NoiseSettings | None, branchwise: bool) -> tuple:
-    """``(_SIDE, r, theta, phi, x, y, z, branches)``, checked: the state's vector after the
+    """``(_SIDE, r, x, y, z, branches)``, checked: the state's vector after the
     channel, and its two branch vectors after it when ``branchwise``, else None."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
@@ -106,16 +103,16 @@ def _generated_side(r, theta, phi, noise: NoiseSettings | None, branchwise: bool
         channel_xyz(noise, *axis_xyz(theta, phi)),
         channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi)),
     ) if branchwise else None
-    return (_SIDE, r, theta, phi, x, y, z, branches)
+    return (_SIDE, r, x, y, z, branches)
 
 
 def _axis_side(beta, gamma, true: tuple[float, float, float]) -> tuple:
-    """``(_SIDE, beta, gamma, mx, my, mz, p_sigma)``, checked; ``true`` is ``_true_xyz``'s."""
+    """``(_SIDE, mx, my, mz, p_sigma)``, checked; ``true`` is ``_true_xyz``'s."""
     if not (isfinite(beta) and isfinite(gamma)):
         raise ValueError("theta, phi, beta and gamma must be finite")
     st = sin(beta)  # axis_xyz
     mx, my, mz = st * sin(gamma), st * cos(gamma), cos(beta)
-    return (_SIDE, beta, gamma, mx, my, mz, _probability(mx, my, mz, *true))
+    return (_SIDE, mx, my, mz, _probability(mx, my, mz, *true))
 
 
 def estimate_d(
@@ -158,43 +155,28 @@ def estimate_d(
         if raw:  # run_turn's count is GameConfig's, checked there
             shots = check("shot count", shots, Count)
         state = bitgen(rng)
+    _, r, x, y, z, branches = gen
+    _, mx, my, mz, p_sigma = meas
     if shots is not None and branchwise:
         # Physically faithful two-stage draw: pick the prepared branch per
         # shot, then the detection outcome.  Marginally identical to
         # Binomial(n, p_rho).
-        branches = gen[7]
-        mx, my, mz = meas[3], meas[4], meas[5]
-        k_main = binomial(state, shots, gen[1])
-        if k_main < 0:
-            raise refused(k_main)
+        k_main = binomial(state, shots, r)
         hits = 0
         if k_main > 0:
             hits = binomial(state, k_main, _probability(mx, my, mz, *branches[0]))
-            if hits < 0:
-                raise refused(hits)
         rest = shots - k_main
         if rest > 0:
-            k_alt = binomial(state, rest, _probability(mx, my, mz, *branches[1]))
-            if k_alt < 0:
-                raise refused(k_alt)
-            hits += k_alt
+            hits += binomial(state, rest, _probability(mx, my, mz, *branches[1]))
         p_rho = float(hits) / shots
     else:
         # _probability, inline: p_rho serves the exact and the plain shot read-out.
-        p = 0.5 * (1.0 + (meas[3] * gen[4] + meas[4] * gen[5] + meas[5] * gen[6]))
+        p = 0.5 * (1.0 + (mx * x + my * y + mz * z))
         p_rho = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
         if shots is not None:
-            count = binomial(state, shots, p_rho)
-            if count < 0:
-                raise refused(count)
-            p_rho = float(count) / shots
-    if shots is None:
-        p_sigma = meas[6]
-    else:
-        count = binomial(state, shots, meas[6])
-        if count < 0:
-            raise refused(count)
-        p_sigma = float(count) / shots
+            p_rho = float(binomial(state, shots, p_rho)) / shots
+    if shots is not None:
+        p_sigma = float(binomial(state, shots, p_sigma)) / shots
     # The kernel's trusted build: its frequencies lie in [0, 1], d_hat is
     # their difference and shots was checked, so ``__post_init__`` would
     # find nothing; the fields are stored as the constructor would store them.

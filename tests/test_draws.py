@@ -6,6 +6,7 @@ where numpy's draw leaves it, for every n and p, the sampler's branch
 points included; input numpy refuses must be refused with numpy's error.
 """
 
+import datetime
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import qgan_sim
 from qgan_sim import DensityMatrix, _draws, estimate_d, sample_frequency
-from qgan_sim._draws import binomial, bitgen, refused
+from qgan_sim._draws import binomial, bitgen
 from qgan_sim.sampling import _SIDE, _axis_side
 
 
@@ -56,14 +57,14 @@ def test_each_generator_is_resolved_to_its_own_state():
     ]
 
 
-@pytest.mark.parametrize("n, p", [(5, math.nan), (5, -0.1), (5, 1.5), (-1, 0.5)])
+@pytest.mark.parametrize("n, p", [(5, math.nan), (5, -0.1), (5, 1.5), (-1, 0.5), (-1, math.nan)])
 def test_refused_input_raises_numpys_error(n, p):
     rng, twin = np.random.default_rng(0), np.random.default_rng(0)
-    code = binomial(bitgen(rng), n, p)
-    assert code < 0
+    with pytest.raises(ValueError) as ours:
+        binomial(bitgen(rng), n, p)
     with pytest.raises(ValueError) as numpys:
         twin.binomial(n, p)
-    assert str(refused(code)) == str(numpys.value)
+    assert str(ours.value) == str(numpys.value)
     assert rng.random() == twin.random()  # a refused draw takes no uniform
     with pytest.raises(ValueError, match="^(probability|shot count): "):
         sample_frequency(p, n, rng)
@@ -88,11 +89,28 @@ def test_the_estimator_raises_what_the_kernel_refuses(gen, meas_p, shots, branch
     # Sides made by hand, which no caller of the public API can pass (its
     # values are checked when they are built), reach each draw with a value
     # numpy refuses; the estimate raises numpy's error instead of counting.
-    r, x, y, z, branches = gen
-    meas = _axis_side(0.0, 0.0, (0.0, 0.0, 1.0))[:6] + (meas_p,)
+    meas = _axis_side(0.0, 0.0, (0.0, 0.0, 1.0))[:4] + (meas_p,)
     with pytest.raises(ValueError, match=message):
-        estimate_d((_SIDE, r, 0.0, 0.0, x, y, z, branches), meas, DensityMatrix.pure_ground(),
+        estimate_d((_SIDE, *gen), meas, DensityMatrix.pure_ground(),
                    shots, rng=np.random.default_rng(0), branchwise=branchwise)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        lambda rng: (rng.bit_generator.ctypes.bit_generator.value, 5000, 0.5),  # its address
+        lambda rng: (object(), 5000, 0.5),
+        lambda rng: (datetime.datetime_CAPI, 5000, 0.5),  # a capsule of another name
+        lambda rng: (bitgen(rng), 5000),
+        lambda rng: (bitgen(rng), 5000, 0.5, 0.5),
+    ],
+    ids=["address", "object", "other-capsule", "two-args", "four-args"],
+)
+def test_binomial_takes_only_a_generators_capsule_and_two_numbers(args):
+    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises((TypeError, ValueError)):
+        binomial(*args(rng))
+    assert rng.random() == twin.random()  # nothing was drawn
 
 
 def test_a_kernel_that_draws_otherwise_is_refused(monkeypatch):
@@ -106,7 +124,8 @@ SRC = str(Path(qgan_sim.__file__).resolve().parents[1])
 DRAW = (
     "import sys, numpy as np, qgan_sim\n"
     "print(qgan_sim.sample_frequency(0.5, 5000, np.random.default_rng(0)))\n"
-    "print(sorted(m for m in ('cffi', 'setuptools', 'distutils') if m in sys.modules))\n"
+    "print(sorted(m for m in ('cffi', '_cffi_backend', 'setuptools', 'distutils')\n"
+    "             if m in sys.modules))\n"
 )
 
 
