@@ -93,10 +93,6 @@ _CHECK_DRAWS = [
 ] + [(100, 0.29), (100, 0.31), (100, 0.69), (100, 0.71)]
 
 
-def _lib_dir() -> str:
-    return os.path.join(os.path.dirname(np.__file__), "random", "lib")
-
-
 def _cache_root() -> str:
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative: the XDG spec's default
@@ -110,56 +106,19 @@ def _module_path() -> str:
     return os.path.join(_cache_root(), f"numpy-{np.__version__}-{key:08x}", _NAME + suffix)
 
 
-def _compiler() -> list[str]:
-    """Python's shared-library command, its compiler replaced by ``CC`` when
-    that is set, as distutils' ``customize_compiler`` does."""
-    import sysconfig
-
-    command = [*sysconfig.get_config_var("LDSHARED").split(),
-               *sysconfig.get_config_var("CCSHARED").split()]
-    if os.environ.get("CC"):
-        command[:1] = os.environ["CC"].split()
-    return command
-
-
-def _missing() -> list[str]:
-    """What a build needs that this machine lacks."""
-    import shutil
-    import sysconfig
-
-    missing = []
-    compiler = _compiler()[0]
-    if shutil.which(compiler) is None:
-        missing.append(f"a C compiler ({compiler} is not on PATH)")
-    for what, path in (
-        ("Python's C headers", os.path.join(sysconfig.get_paths()["include"], "Python.h")),
-        ("numpy's sampler header",
-         os.path.join(np.get_include(), "numpy", "random", "distributions.h")),
-        ("numpy's sampler library", os.path.join(_lib_dir(), "libnpyrandom.a")),
-    ):
-        if not os.path.isfile(path):
-            missing.append(f"{what} ({path})")
-    return missing
-
-
 def _build(path: str) -> None:
-    """Compile the module and move it into place at ``path``."""
+    """Compile the module and move it into place at ``path``; the compiler's
+    own diagnostic names whatever the build lacks."""
     import shutil
     import subprocess
     import sysconfig
     import tempfile
 
-    missing = _missing()
-    if missing:
-        raise ImportError(
-            f"qgan_sim cannot build its binomial kernel for numpy {np.__version__}: "
-            f"missing {'; '.join(missing)}"
-        )
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        # A private directory beside the target, so that the move is one
-        # rename and concurrent first imports each place a whole file.
-        tmp = tempfile.mkdtemp(prefix=".build-", dir=os.path.dirname(os.path.dirname(path)))
+        os.makedirs(_cache_root(), exist_ok=True)
+        # A private directory beside the key directories, so that the move is
+        # one rename and concurrent first imports each place a whole file.
+        tmp = tempfile.mkdtemp(prefix=".build-", dir=_cache_root())
     except OSError as exc:
         raise ImportError(
             f"qgan_sim cannot write its binomial kernel under {_cache_root()} ({exc}); "
@@ -169,17 +128,36 @@ def _build(path: str) -> None:
         source, built = os.path.join(tmp, _NAME + ".c"), os.path.join(tmp, os.path.basename(path))
         with open(source, "w") as f:
             f.write(_SOURCE)
-        done = subprocess.run(
-            [*_compiler(), "-I", sysconfig.get_paths()["include"], "-I", np.get_include(),
-             source, "-L", _lib_dir(), "-lnpyrandom", "-lm", "-o", built],
-            capture_output=True, text=True,
-        )
+        # Python's shared-library command, its compiler replaced by ``CC`` when
+        # that is set, as distutils' ``customize_compiler`` does.
+        command = [*sysconfig.get_config_var("LDSHARED").split(),
+                   *sysconfig.get_config_var("CCSHARED").split()]
+        if os.environ.get("CC"):
+            command[:1] = os.environ["CC"].split()
+        lib = os.path.join(os.path.dirname(np.__file__), "random", "lib")
+        try:
+            done = subprocess.run(
+                [*command, "-I", sysconfig.get_paths()["include"], "-I", np.get_include(),
+                 source, "-L", lib, "-lnpyrandom", "-lm", "-o", built],
+                capture_output=True, text=True,
+            )
+        except FileNotFoundError as exc:
+            raise ImportError(
+                f"qgan_sim cannot build its binomial kernel for numpy {np.__version__}: "
+                f"missing a C compiler ({command[0]} is not on PATH)"
+            ) from exc
+        except OSError as exc:
+            raise ImportError(
+                f"qgan_sim cannot build its binomial kernel for numpy {np.__version__}: "
+                f"its C compiler {command[0]} cannot be started ({exc})"
+            ) from exc
         if done.returncode != 0:
             tail = "\n".join((done.stdout + done.stderr).strip().splitlines()[-20:])
             raise ImportError(
                 f"qgan_sim could not build its binomial kernel for numpy {np.__version__} "
                 f"(exit {done.returncode}):\n{tail}"
             )
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         os.replace(built, path)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -130,7 +130,7 @@ class StepRecord:
     parameters against the true state.
     """
 
-    step_index: int
+    step_index: Count
     round_index: int
     turn: Turn
     params_after: Params

@@ -621,6 +621,16 @@ class TestRejectedInput:
                 id="step_index-falls",
             ),
             pytest.param(
+                "tracking", {("steps", 0, "step_index"): 0},
+                "steps[0].step_index: expected at least 1, got 0",
+                id="step_index-zero",
+            ),
+            pytest.param(
+                "tracking", {("steps", 0, "step_index"): -1},
+                "steps[0].step_index: expected at least 1, got -1",
+                id="step_index-negative",
+            ),
+            pytest.param(
                 "tracking", {("steps",): []}, "steps: expected at least one step, got []",
                 id="steps-empty",
             ),

@@ -119,6 +119,13 @@ def test_a_kernel_that_draws_otherwise_is_refused(monkeypatch):
         _draws._check()
 
 
+def test_the_first_generator_resolved_runs_the_load_check(monkeypatch):
+    monkeypatch.setattr(_draws, "_checked", False)
+    monkeypatch.setattr(_draws, "binomial", lambda state, n, p: 0)
+    with pytest.raises(ImportError, match=f"numpy {np.__version__}'s Generator.binomial"):
+        sample_frequency(0.5, 10, np.random.default_rng(0))
+
+
 SRC = str(Path(qgan_sim.__file__).resolve().parents[1])
 # A fresh process's first draw, and which build tools it loaded.
 DRAW = (
@@ -157,3 +164,40 @@ def test_a_build_without_a_compiler_names_it(tmp_path):
     assert "ImportError: qgan_sim cannot build its binomial kernel" in done.stderr
     assert "a C compiler (qgan-sim-no-such-cc is not on PATH)" in done.stderr
     assert not list(tmp_path.glob("qgan_sim/*/_qgan_draws*"))
+
+
+FATAL = "fatal error: numpy/random/distributions.h: No such file or directory"
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        (f"#!/bin/sh\necho '{FATAL}' >&2\nexit 1\n",
+         f"ImportError: qgan_sim could not build its binomial kernel for numpy "
+         f"{np.__version__} (exit 1):\n{FATAL}\n"),
+        ("", f"ImportError: qgan_sim cannot build its binomial kernel for numpy "
+             f"{np.__version__}: its C compiler {{cc}} cannot be started ([Errno 13] "),
+    ],
+    ids=["compile-fails", "not-executable"],
+)
+def test_a_failed_build_is_named_and_leaves_no_build(tmp_path, script, message):
+    cc = tmp_path / "cc"
+    cc.write_text(script)
+    cc.chmod(0o755 if script else 0o644)  # a file without execute bits cannot be started
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": path, "CC": str(cc)}
+    done = fresh(env)
+    assert done.returncode == 1
+    assert message.format(cc=cc) in done.stderr
+    assert list((tmp_path / "qgan_sim").iterdir()) == []  # no key directory, no .build-*
+
+
+def test_an_unwritable_cache_is_named(tmp_path):
+    (tmp_path / "file").touch()
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "file"), "PYTHONPATH": path}
+    done = fresh(env)
+    assert done.returncode == 1
+    assert (f"ImportError: qgan_sim cannot write its binomial kernel under "
+            f"{tmp_path / 'file' / 'qgan_sim'} (") in done.stderr
+    assert "set XDG_CACHE_HOME to a writable directory" in done.stderr
