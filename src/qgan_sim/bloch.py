@@ -22,9 +22,10 @@ calls the same kernels directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from numbers import Integral, Real
-from typing import Annotated, Literal, get_args, get_origin
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,10 +57,12 @@ _EIG_TOL = 1e-12
 _HERMITY_TOL = 1e-9
 _SQRT_CLAMP = 1e-10        # negative sqrt arguments beyond this are an error
 
-# A number within the bounds (low, high), which ``check`` holds it to.
+# Numbers within the bounds (low, high), which ``check`` holds them to, and X | None's types.
 Unit = Annotated[float, (0, 1)]
 Positive = Annotated[float, (0, None, "()")]
 Count = Annotated[int, (1, None)]
+Shots = Annotated[int, (1, 2**63 - 1)]  # numpy's binomial takes int64 counts
+_UNIONS = (type(int | None), type(Count | None))  # typing.Union's when X is Annotated
 
 
 class ConfigError(ValueError):
@@ -79,8 +82,8 @@ def check(field_name: str, value, kind):
     as a ``float``; neither takes a bool.  An ``Annotated`` number has the
     bounds ``(low, high)`` or ``(low, high, ends)``: a ``high`` of None is no
     upper bound, and ``ends`` such as ``"(]"`` opens an end (both are closed
-    when omitted).  A ``Literal`` takes its values, and a class, such as
-    ``bool`` or ``str``, its instances.
+    when omitted).  A ``Literal`` takes its values, ``X | None`` None or an
+    ``X``, and a class, such as ``bool`` or ``str``, its instances.
     """
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, (int, Integral)):  # int first: fast
@@ -96,6 +99,11 @@ def check(field_name: str, value, kind):
         if not math.isfinite(number):
             raise ConfigError(field_name, f"expected a finite number, got {value!r}")
         return number
+    if isinstance(kind, type):  # a class, such as bool: before get_origin, which costs more
+        if not isinstance(value, kind):
+            what = {bool: "a boolean", str: "a string"}.get(kind, f"a {kind.__name__}")
+            raise ConfigError(field_name, f"expected {what}, got {value!r}")
+        return value
     origin = get_origin(kind)
     if origin is Annotated:
         number, (bounds,) = check(field_name, value, kind.__origin__), kind.__metadata__
@@ -113,10 +121,28 @@ def check(field_name: str, value, kind):
         if value not in get_args(kind):
             raise ConfigError(field_name, f"expected one of {get_args(kind)}, got {value!r}")
         return value
-    if not isinstance(value, kind):
-        what = {bool: "a boolean", str: "a string"}.get(kind, f"a {kind.__name__}")
-        raise ConfigError(field_name, f"expected {what}, got {value!r}")
-    return value
+    if not optional(kind):
+        raise AssertionError(kind)  # a kind with no rule here yet
+    return None if value is None else check(field_name, value, kind.__args__[0])
+
+
+def optional(kind) -> bool:
+    """Whether ``kind`` is ``X | None`` (a ``typing.Union`` when X is ``Annotated``)."""
+    return type(kind) in _UNIONS and type(None) in kind.__args__
+
+
+@cache
+def _kinds(cls) -> tuple[dict, frozenset]:
+    """Dataclass ``cls``'s field kinds and the names of its fields without a default."""
+    required = frozenset(f.name for f in fields(cls) if f.default is f.default_factory is MISSING)
+    return get_type_hints(cls, include_extras=True), required
+
+
+def check_fields(obj) -> None:
+    """Store each field of dataclass ``obj`` as ``check`` reads it, past a frozen setattr."""
+    values = vars(obj)
+    for name, kind in _kinds(type(obj))[0].items():
+        values[name] = check(name, values[name], kind)
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,16 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Annotated, Literal, get_args, get_type_hints
+from typing import Annotated, Literal, get_args
 
 import numpy as np
 
 from .bloch import (
-    Count, DensityMatrix, GeneratorParams, MeasurementParams, Positive, Unit, check, fidelity,
-    generated_fidelity, random_initial_params, state_bloch,
+    Count, DensityMatrix, GeneratorParams, MeasurementParams, Positive, Shots, Unit, check,
+    check_fields, fidelity, generated_fidelity, random_initial_params, state_bloch,
 )
 from .noise import NoiseSettings
-from .sampling import OutcomeEstimate, _axis_side, _generated_side, _true_xyz, estimate_d
+from .sampling import OutcomeEstimate, _axis_side, _generated_side, _new, _true_xyz, estimate_d
 
 __all__ = [
     "GameConfig",
@@ -78,7 +78,7 @@ class GameConfig:
     budget of 500; mixed-state runs conventionally use 300.
     """
 
-    shots: Annotated[int, (1, 2**63 - 1)] = 5000  # numpy's binomial takes int64 counts
+    shots: Shots = 5000
     fd_delta_angle: Positive = 0.1
     fd_delta_r: Annotated[float, (0, 0.5, "(]")] = 0.05
     learning_rate: Positive = 0.2
@@ -97,10 +97,7 @@ class GameConfig:
     noise: NoiseSettings = field(default_factory=NoiseSettings)
     seed: Annotated[int, (0, None)] = 0
 
-    def __post_init__(self) -> None:
-        fields = vars(self)  # frozen: the checked values are stored past __setattr__
-        for name, kind in _GAME_CONFIG_KINDS.items():
-            fields[name] = check(name, fields[name], kind)
+    __post_init__ = check_fields
 
     def g_threshold(self, round_index: int) -> float:
         """Round threshold ending the generator's turn (floored schedule)."""
@@ -115,10 +112,6 @@ class GameConfig:
         if turn == D_TURN and d_hat < self.d_bound:
             return TERMINATION_EQUILIBRIUM
         return TERMINATION_BUDGET if c >= self.c_limit else None
-
-
-# GameConfig's field kinds, bounds included, read once for its constructor.
-_GAME_CONFIG_KINDS = get_type_hints(GameConfig, include_extras=True)
 
 
 @dataclass(frozen=True)
@@ -148,9 +141,6 @@ class GameTrace:
     c_step_total: int
     final_fidelity: float
     steps: list[StepRecord]
-
-
-_new = object.__new__
 
 
 def finite_diff_gradient(

@@ -14,18 +14,18 @@ import json
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from functools import cache
 from itertools import groupby
 from pathlib import Path
-from types import FunctionType, UnionType
-from typing import Annotated, Literal, get_args, get_origin, get_type_hints
+from types import FunctionType
+from typing import Annotated, Literal, get_args, get_origin
 
 import numpy as np
 
 from .bloch import (
-    _BALL_TOL, SIGMA_MODES, ConfigError, Count, DensityMatrix, Unit, axis_xyz, check,
-    random_true_state, state_xyz,
+    _BALL_TOL, SIGMA_MODES, ConfigError, Count, DensityMatrix, Unit, _kinds, axis_xyz, check,
+    optional, random_true_state, state_xyz,
 )
 from .game import (
     D_TURN, PARAM_NAMES, TERMINATION_BUDGET, GameConfig, GameTrace, Params, Termination, run_game,
@@ -108,9 +108,9 @@ class ExperimentSpec:
 
 def _coerce(field_name: str, value, kind):
     """``value`` read as ``kind``; a mismatch is a ConfigError naming ``field_name``.
-    A scalar, bounded or literal kind is ``bloch.check``'s; this walks the rest."""
+    A scalar, bounded, literal or optional kind is ``bloch.check``'s; this walks the rest."""
     origin, args = get_origin(kind), get_args(kind)
-    if kind in (bool, int, float, str) or origin is Annotated or origin is Literal:
+    if kind in (bool, int, float, str) or origin in (Annotated, Literal) or optional(kind):
         return check(field_name, value, kind)
     if origin is list or origin is tuple:
         if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
@@ -128,11 +128,8 @@ def _coerce(field_name: str, value, kind):
             _coerce(f"{field_name}.{k}", k, args[0]): _coerce(f"{field_name}.{k}", v, args[1])
             for k, v in value.items()
         }
-    if origin is UnionType and args[1] is type(None):  # X | None: null is a value
-        return None if value is None else _coerce(field_name, value, args[0])
     if is_dataclass(kind):
-        kinds, required = _kinds(kind)
-        return _build(field_name, kind, **_fields(field_name, value, kinds, required))
+        return _build(field_name, kind, **_fields(field_name, value, *_kinds(kind)))
     if isinstance(kind, FunctionType):  # the parser of a nested block
         return kind(field_name, value)
     if _writer(kind) is _sigma_to_doc:  # what the writer writes as a {matrix, bloch} block
@@ -140,16 +137,6 @@ def _coerce(field_name: str, value, kind):
         rows = [[complex(re, im) for re, im in row] for row in block["matrix"]]
         return _build(f"{field_name}.matrix", DensityMatrix, rows)
     raise AssertionError(kind)
-
-
-@cache
-def _kinds(cls) -> tuple[dict, frozenset]:
-    """Dataclass ``cls``'s field kinds, from its annotations, and the names of
-    its fields without a default; read once per class."""
-    required = frozenset(
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    )
-    return get_type_hints(cls, include_extras=True), required
 
 
 def _fields(where: str, doc, kinds: dict, required=frozenset()) -> dict:
@@ -167,7 +154,7 @@ def _fields(where: str, doc, kinds: dict, required=frozenset()) -> dict:
     block = {}
     for name, kind in kinds.items():
         value = doc.get(name)
-        if value is not None or (name in doc and get_origin(kind) is UnionType):
+        if value is not None or (name in doc and optional(kind)):
             block[name] = _coerce(prefix + name, value, kind)
         elif name in required:
             raise ConfigError(where or "document", f"{name!r} is required")

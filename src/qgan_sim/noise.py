@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Literal, get_type_hints
+from typing import Literal
 
-from .bloch import BlochVector, Unit, check
+from .bloch import BlochVector, Unit, check, check_fields
 
 __all__ = ["NoiseSettings", "depolarize", "amplitude_damp", "apply_noise", "channel_xyz"]
 
@@ -31,10 +31,7 @@ class NoiseSettings:
     amplitude_damping_gamma: Unit = 0.0
     apply_to: Literal["both", "generated-only"] = "both"
 
-    def __post_init__(self) -> None:
-        fields = vars(self)  # frozen: the checked values are stored past __setattr__
-        for name, kind in _NOISE_KINDS.items():
-            fields[name] = check(name, fields[name], kind)
+    __post_init__ = check_fields
 
     @property
     def is_identity(self) -> bool:
@@ -49,10 +46,6 @@ class NoiseSettings:
         values are a tuning knob, not calibrated constants.
         """
         return cls(depolarizing_eps=0.08, amplitude_damping_gamma=0.08)
-
-
-# NoiseSettings' field kinds, bounds included, read once for its constructor.
-_NOISE_KINDS = get_type_hints(NoiseSettings, include_extras=True)
 
 
 def depolarize(v: BlochVector, eps: float) -> BlochVector:

@@ -10,9 +10,8 @@ generator's next state are those of ``rng.binomial(n, p)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from math import cos, isfinite, sin
+from math import cos, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -21,10 +20,12 @@ from .bloch import (  # noqa: F401  (bench/run.py traces the object forms here)
     DensityMatrix,
     GeneratorParams,
     MeasurementParams,
+    Shots,
     Unit,
     _probability,
     axis_xyz,
     check,
+    check_fields,
     measurement_axis,
     outcome_probability,
     pure_axis,
@@ -48,20 +49,19 @@ class OutcomeEstimate:
     p_rho_hat: float
     p_sigma_hat: float
     d_hat: float
-    shots: int | None
+    shots: Count | None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not (0.0 <= self.p_rho_hat <= 1.0 and 0.0 <= self.p_sigma_hat <= 1.0):
             raise ValueError("frequencies must be in [0, 1]")
         if self.d_hat != self.p_rho_hat - self.p_sigma_hat:
             raise ValueError("d_hat must equal p_rho_hat - p_sigma_hat exactly")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be a positive count, got {self.shots}")
 
 
 def sample_frequency(p: float, n: int, rng: np.random.Generator) -> float:
     """Observed frequency k/n with k ~ Binomial(n, p)."""
-    p, n = check("probability", p, Unit), check("shot count", n, Count)
+    p, n = check("probability", p, Unit), check("shot count", n, Shots)
     return float(binomial(bitgen(rng), n, p)) / n
 
 
@@ -73,7 +73,7 @@ def d_standard_deviation(p_rho: float, p_sigma: float, n: int) -> float:
     """
     p_rho, p_sigma = check("p_rho", p_rho, Unit), check("p_sigma", p_sigma, Unit)
     n = check("shot count", n, Count)
-    return math.sqrt((p_rho * (1.0 - p_rho) + p_sigma * (1.0 - p_sigma)) / n)
+    return sqrt((p_rho * (1.0 - p_rho) + p_sigma * (1.0 - p_sigma)) / n)
 
 
 _new = object.__new__
@@ -101,7 +101,7 @@ def _generated_side(r, theta, phi, noise: NoiseSettings | None, branchwise: bool
     x, y, z = channel_xyz(noise, w * (st * sin(phi)), w * (st * cos(phi)), w * cos(theta))
     branches = (
         channel_xyz(noise, *axis_xyz(theta, phi)),
-        channel_xyz(noise, *axis_xyz(math.pi - theta, phi + math.pi)),
+        channel_xyz(noise, *axis_xyz(pi - theta, phi + pi)),
     ) if branchwise else None
     return (_SIDE, r, x, y, z, branches)
 
@@ -136,24 +136,27 @@ def estimate_d(
     unchanged but the draw sequence mimics the physical procedure.
 
     ``gen`` and ``meas`` may be the parameter objects or any sequences
-    unpacking to ``(r, theta, phi)`` and ``(beta, gamma)``; their values are
-    checked once per call, and the probabilities come from the same float
-    kernels the object API runs after its own checks.  ``run_turn`` passes
-    sides built once by ``_generated_side`` and ``_axis_side`` for this
-    call's sigma, noise and branchwise, which are read as given.
+    unpacking to ``(r, theta, phi)`` and ``(beta, gamma)``: the call's other
+    arguments, then those values, are checked once per call.  ``run_turn``
+    passes sides built by ``_generated_side`` and ``_axis_side`` from its
+    checked ``GameConfig`` instead, which are read as given.
     """
-    raw = False  # a caller's own parameters, not sides ``run_turn`` built
-    if not (type(gen) is tuple and gen and gen[0] is _SIDE):
+    raw_gen = not (type(gen) is tuple and gen and gen[0] is _SIDE)
+    raw_meas = not (type(meas) is tuple and meas and meas[0] is _SIDE)
+    if raw_gen or raw_meas:  # a caller's own values; run_turn's are its GameConfig's
+        sigma = check("sigma", sigma, DensityMatrix)
+        noise = check("noise", noise, NoiseSettings | None)
+        shots = None if shots is None else check("shot count", shots, Shots)
+        branchwise = check("branchwise", branchwise, bool)
+    if raw_gen:
         r, theta, phi = gen
-        gen, raw = _generated_side(r, theta, phi, noise, branchwise), True
-    if not (type(meas) is tuple and meas and meas[0] is _SIDE):
+        gen = _generated_side(r, theta, phi, noise, branchwise)
+    if raw_meas:
         beta, gamma = meas
-        meas, raw = _axis_side(beta, gamma, _true_xyz(sigma, noise)), True
+        meas = _axis_side(beta, gamma, _true_xyz(sigma, noise))
     if shots is not None:
         if rng is None:
             raise ValueError("shot-limited estimation requires a random generator")
-        if raw:  # run_turn's count is GameConfig's, checked there
-            shots = check("shot count", shots, Count)
         state = bitgen(rng)
     _, r, x, y, z, branches = gen
     _, mx, my, mz, p_sigma = meas

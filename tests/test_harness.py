@@ -143,6 +143,8 @@ class TestLoadExperiment:
             (Unit, 1.0, math.nextafter(1.0, 2.0), "a number in [0, 1]"),
             (Annotated[float, (1, None)], 1.0, math.nextafter(1.0, 0.0), "at least 1"),
             (Annotated[int, (1, None)], 1, 0, "at least 1"),
+            (Annotated[int, (1, None)] | None, None, 0, "at least 1"),
+            (int | None, None, True, "an integer"),
         ],
     )
     def test_bounded_kind_reads_its_bounds(self, kind, inside, outside, within):

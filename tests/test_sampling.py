@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ class TestSampleFrequency:
         # numpy truncates n to 2, so k / 2.5 would be no frequency of n shots.
         with pytest.raises(ValueError, match="^shot count: expected an integer, got 2.5$"):
             sample_frequency(0.5, 2.5, np.random.default_rng(0))
+
+    def test_a_shot_count_beyond_int64_is_named(self):
+        # numpy's binomial takes int64 counts; 2**63 used to raise a bare OverflowError.
+        message = "shot count: expected a number in [1, 9223372036854775807], got 9223372036854775808"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_frequency(0.5, 2**63, np.random.default_rng(0))
 
     def test_standard_deviation_matches_binomial(self):
         # Oracle: sd of k/n is sqrt(p (1-p) / n) = 0.00707 at p=1/2, n=5000.
@@ -95,6 +102,24 @@ class TestOutcomeEstimate:
     def test_exact_mode_sentinel(self):
         est = OutcomeEstimate(0.5, 0.25, 0.25, None)
         assert est.shots is None
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.5, 0.5, 0.0, 2.5), "shots: expected an integer, got 2.5"),
+            ((0.5, 0.5, 0.0, True), "shots: expected an integer, got True"),
+            ((True, False, 1, True), "p_rho_hat: expected a number, got True"),
+        ],
+        ids=["fractional-shots", "bool-shots", "bool-frequency"],
+    )
+    def test_fields_are_read_as_their_kinds(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OutcomeEstimate(*args)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        est = OutcomeEstimate(np.float64(0.5), np.float32(0.25), np.float64(0.25), np.int64(100))
+        assert [type(v) for v in vars(est).values()] == [float, float, float, int]
+        assert vars(est) == vars(OutcomeEstimate(0.5, 0.25, 0.25, 100))
 
 
 class TestEstimateD:
@@ -227,6 +252,33 @@ class TestEstimateD:
         assert type(est.shots) is int
         assert est == estimate_d((0.5, 0.0, 0.0), (0.0, 0.0), sigma, 50,
                                  rng=np.random.default_rng(0))
+
+    def test_a_shot_count_beyond_int64_is_named(self):
+        message = "shot count: expected a number in [1, 9223372036854775807], got 9223372036854775808"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_d((0.5, 0.0, 0.0), (0.0, 0.0), DensityMatrix.pure_ground(), 2**63,
+                       rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            ({"branchwise": "yes"}, "branchwise: expected a boolean, got 'yes'"),
+            ({"noise": {"depolarizing_eps": 0.1}},
+             "noise: expected a NoiseSettings, got {'depolarizing_eps': 0.1}"),
+            ({"noise": "preset"}, "noise: expected a NoiseSettings, got 'preset'"),
+            ({"sigma": "ground"}, "sigma: expected a DensityMatrix, got 'ground'"),
+        ],
+        ids=["branchwise-string", "noise-dict", "noise-string", "sigma-string"],
+    )
+    def test_a_callers_other_arguments_are_read_as_their_kinds(self, call, message):
+        # A caller's own parameters come with the rest of the call unchecked
+        # by any config: each is named before any draw.
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        args = {"gen": (0.5, 0.3, 0.0), "meas": (0.2, 0.0), "sigma": DensityMatrix.pure_ground(),
+                "shots": 50, "rng": rng, **call}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_d(**args)
+        assert rng.random() == twin.random()
 
     def test_tuple_and_object_inputs_agree(self):
         gen = GeneratorParams(0.37, 1.2, 0.4)
