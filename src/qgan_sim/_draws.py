@@ -29,6 +29,8 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
+from .bloch import check
+
 __all__ = ["binomial", "bitgen"]
 
 _NAME = "_qgan_draws"
@@ -195,11 +197,12 @@ _checked = False
 def bitgen(rng: np.random.Generator):
     """``rng``'s ``BitGenerator`` capsule; the last generator's is kept, so a
     game resolves its own once.  Keeping the generator keeps the capsule's
-    pointer valid.  The first generator resolved in a process runs ``_check``
-    first."""
+    pointer valid.  A generator is checked to be one when it is resolved; the
+    first resolved in a process runs ``_check`` first."""
     global _last, _checked
     last = _last
     if last[0] is not rng:
+        rng = check("rng", rng, np.random.Generator)
         if not _checked:
             _check()
             _checked = True

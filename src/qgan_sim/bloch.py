@@ -101,7 +101,8 @@ def check(field_name: str, value, kind):
         return number
     if isinstance(kind, type):  # a class, such as bool: before get_origin, which costs more
         if not isinstance(value, kind):
-            what = {bool: "a boolean", str: "a string"}.get(kind, f"a {kind.__name__}")
+            article = "an" if kind.__name__[0] in "AEIOU" else "a"
+            what = {bool: "a boolean", str: "a string"}.get(kind, f"{article} {kind.__name__}")
             raise ConfigError(field_name, f"expected {what}, got {value!r}")
         return value
     origin = get_origin(kind)
@@ -191,15 +192,11 @@ class GeneratorParams:
     the two branches.
     """
 
-    r: float
+    r: Unit
     theta: float
     phi: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.r <= 1.0):
-            raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("theta and phi must be finite")
+    __post_init__ = check_fields
 
     def __iter__(self):
         """Unpack as the flat floats ``r, theta, phi``."""
@@ -213,9 +210,7 @@ class MeasurementParams:
     beta: float
     gamma: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and math.isfinite(self.gamma)):
-            raise ValueError("beta and gamma must be finite")
+    __post_init__ = check_fields
 
     def __iter__(self):
         """Unpack as the flat floats ``beta, gamma``."""
@@ -450,6 +445,7 @@ def random_true_state(
         hilbert-schmidt: Ginibre-induced Hilbert-Schmidt measure; optional
                      alternative to bloch-ball, off unless asked for.
     """
+    mode = check("mode", mode, Literal[SIGMA_MODES])
     if mode == "pure-ground":
         return DensityMatrix.pure_ground()
     if mode == "fixed":
@@ -467,11 +463,9 @@ def random_true_state(
         radius = float(rng.uniform(0.0, 1.0)) ** (1.0 / 3.0)
         v = direction * (radius / norm)
         return DensityMatrix.from_bloch(BlochVector(v[0], v[1], v[2]))
-    if mode == "hilbert-schmidt":
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = g @ g.conj().T
-        return DensityMatrix(m / np.trace(m).real)
-    raise ValueError(f"unknown true-state mode {mode!r} (expected one of {SIGMA_MODES})")
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))  # hilbert-schmidt
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def random_initial_params(rng: np.random.Generator) -> tuple[float, float, float, float, float]:

@@ -156,9 +156,7 @@ def finite_diff_gradient(
     For r at the upper boundary (r + delta > 1) the offset flips backward:
     (d(r) - d(r - delta)) / delta.
     """
-    if param not in PARAM_NAMES:
-        raise ValueError(f"unknown parameter {param!r}")
-    i = PARAM_NAMES.index(param)
+    i = PARAM_NAMES.index(check("param", param, Literal[PARAM_NAMES]))
     p = [*gen, *meas]
     delta = config.fd_delta_r if i == 0 else config.fd_delta_angle
     backward = i == 0 and p[0] + delta > 1.0
@@ -302,28 +300,28 @@ def run_game(
     """Play one full adversarial game and record every step.
 
     ``initial`` is the opening (r, theta, phi, beta, gamma), drawn from
-    ``rng`` when omitted.  A plain float is taken as given, for the
-    estimator to check before any draw; any other value is read as its
-    ``Params`` kind, named as a config file names it (``initial.r``), and
-    stored as a float.
+    ``rng`` when omitted.  Each of its values is read as its ``Params``
+    kind, named as a config file names it (``initial.r``), and stored as a
+    float, before any draw; ``sigma``, ``config`` and ``rng`` are checked
+    first.
 
     The discriminator always opens each round.  Equilibrium is declared
     when its optimized d falls below ``d_bound``; otherwise the game stops
     once the step counter reaches ``c_limit`` (checked between turns, so
     the total can overshoot by at most one turn).
     """
+    sigma, config = check("sigma", sigma, DensityMatrix), check("config", config, GameConfig)
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    rng = check("rng", rng, np.random.Generator)
     if initial is None:
         p = random_initial_params(rng)
     else:
         p = tuple(initial)
         if len(p) != len(PARAM_NAMES):
             raise ValueError(f"initial must be ({', '.join(PARAM_NAMES)}), got {initial!r}")
-        p = tuple(
-            x if type(x) is float else check(f"initial.{name}", x, kind)
-            for name, kind, x in zip(PARAM_NAMES, get_args(Params), p)
-        )
+        values = zip(PARAM_NAMES, get_args(Params), p)
+        p = tuple(check(f"initial.{name}", x, kind) for name, kind, x in values)
     steps: list[StepRecord] = []
     last: OutcomeEstimate | None = None
     c = 0

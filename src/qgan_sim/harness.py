@@ -28,7 +28,8 @@ from .bloch import (
     optional, random_true_state, state_xyz,
 )
 from .game import (
-    D_TURN, PARAM_NAMES, TERMINATION_BUDGET, GameConfig, GameTrace, Params, Termination, run_game,
+    D_TURN, G_TURN, PARAM_NAMES, TERMINATION_BUDGET, GameConfig, GameTrace, Params, Termination,
+    run_game,
 )
 
 __all__ = [
@@ -238,6 +239,7 @@ def load_experiment_file(path: str | Path, seed_override: int | None = None) -> 
 
 def run_experiment(spec: ExperimentSpec) -> GameTrace:
     """Resolve the true state and play one game on a single seeded stream."""
+    spec = check("spec", spec, ExperimentSpec)
     rng = np.random.default_rng(spec.game.seed)
     sigma = spec.sigma.resolve(rng)
     return run_game(sigma, spec.game, rng=rng, initial=spec.initial)
@@ -275,6 +277,7 @@ def run_batch(
     ``traces_dir``, the process that plays game k writes its result document
     to ``traces_dir/game_<kkkk>.json`` and returns only its GameOutcome.
     """
+    spec = check("spec", spec, ExperimentSpec)
     count, jobs = check("count", count, Count), check("jobs", jobs, Count)
     items = [
         (replace(spec, game=replace(spec.game, seed=spec.game.seed + k)),
@@ -407,9 +410,10 @@ def trace_from_doc(doc: dict) -> GameTrace:
     _written_back("", _writer(GameTrace)(trace), body)
     # What the game loop cannot write: no step (D records one in every game),
     # estimates of another shot count than the config's, a step index that
-    # does not rise (snapshots look steps up by their index), or a round that
-    # does not open at 1 or skips one. What run_game derives from the steps
-    # is derived again and compared.
+    # does not rise (snapshots look steps up by their index), a round that
+    # does not open at 1 or skips one, or players out of order (D opens every
+    # round, and G, once it has moved, ends it). What run_game derives from
+    # the steps is derived again and compared.
     steps = trace.steps
     if not steps:
         raise ConfigError("steps", "expected at least one step, got []")
@@ -441,6 +445,12 @@ def trace_from_doc(doc: dict) -> GameTrace:
                 f"steps[{i}].round_index",
                 f"expected {' or '.join(map(str, rounds))}, got {rec.round_index}",
             )
+        opens = previous is None or rec.round_index != previous.round_index
+        want = D_TURN if opens else G_TURN if previous.turn == G_TURN else rec.turn
+        if rec.turn != want:
+            where = "to open" if opens else f"after a {G_TURN!r} step in"
+            message = f"expected {want!r} {where} round {rec.round_index}, got {rec.turn!r}"
+            raise ConfigError(f"steps[{i}].turn", message)
         previous = rec
     for name, field in (("c_step_total", "step_index"), ("final_fidelity", "fidelity_ideal")):
         want, got = getattr(previous, field), getattr(trace, name)

@@ -46,15 +46,13 @@ class OutcomeEstimate:
     p_rho_hat - p_sigma_hat bit for bit.
     """
 
-    p_rho_hat: float
-    p_sigma_hat: float
+    p_rho_hat: Unit
+    p_sigma_hat: Unit
     d_hat: float
     shots: Count | None
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not (0.0 <= self.p_rho_hat <= 1.0 and 0.0 <= self.p_sigma_hat <= 1.0):
-            raise ValueError("frequencies must be in [0, 1]")
         if self.d_hat != self.p_rho_hat - self.p_sigma_hat:
             raise ValueError("d_hat must equal p_rho_hat - p_sigma_hat exactly")
 

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from qgan_sim import (
     BlochVector,
+    ConfigError,
     DensityMatrix,
     GameConfig,
     GeneratorParams,
@@ -55,9 +56,9 @@ class TestBlochVector:
 
 class TestPlayerParams:
     def test_generator_rejects_r_outside_unit_interval(self):
-        with pytest.raises(ValueError, match="r must be"):
+        with pytest.raises(ValueError, match=r"^r: expected a number in \[0, 1\], got 1.2$"):
             GeneratorParams(1.2, 0.0, 0.0)
-        with pytest.raises(ValueError, match="r must be"):
+        with pytest.raises(ValueError, match=r"^r: expected a number in \[0, 1\], got -0.1$"):
             GeneratorParams(-0.1, 0.0, 0.0)
 
     def test_generator_rejects_non_finite_angles(self):
@@ -67,6 +68,25 @@ class TestPlayerParams:
     def test_measurement_rejects_non_finite(self):
         with pytest.raises(ValueError):
             MeasurementParams(math.inf, 0.0)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: GeneratorParams(True, 0.0, 0.0), "^r: expected a number, got True$"),
+            (lambda: GeneratorParams("0.5", 0.0, 0.0), "^r: expected a number, got '0.5'$"),
+            (lambda: MeasurementParams(10**400, 0.0), "^beta: expected a finite number, got 1000"),
+        ],
+        ids=["bool-r", "string-r", "beta-beyond-the-doubles"],
+    )
+    def test_a_value_of_the_wrong_kind_is_named(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+    def test_numpy_values_are_stored_as_floats(self):
+        gen = GeneratorParams(np.float64(0.5), np.int64(1), np.float32(0.25))
+        meas = MeasurementParams(np.float64(0.4), 2)
+        assert (*gen, *meas) == (0.5, 1.0, 0.25, 0.4, 2.0)
+        assert all(type(x) is float for x in (*gen, *meas))
 
     def test_angles_stored_unwrapped(self):
         p = GeneratorParams(0.5, 7.0, -12.5)
@@ -412,8 +432,14 @@ class TestRandomTrueState:
             random_true_state(mode)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown true-state mode"):
+        message = r"^mode: expected one of \('pure-ground', .*\), got 'thermal'$"
+        with pytest.raises(ValueError, match=message):
             random_true_state("thermal", np.random.default_rng(0))
+
+    def test_unknown_mode_is_named_before_the_generator_is_asked_for(self):
+        message = r"^mode: expected one of \('pure-ground', .*\), got 'thermal'$"
+        with pytest.raises(ValueError, match=message):
+            random_true_state("thermal")
 
     def test_ball_mode_radius_cubed_is_uniform(self):
         # For a uniform ball the cubed radius is U[0, 1], so its mean is 1/2.

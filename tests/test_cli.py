@@ -650,6 +650,23 @@ class TestRejectedInput:
                 "steps[1].round_index: expected 1 or 2, got 18446744073709551616",
                 id="round_index-2**64",
             ),
+            pytest.param(
+                "tracking", {("steps", 0, "estimate", "p_rho_hat"): 1.5},
+                "steps[0].estimate.p_rho_hat: expected a number in [0, 1], got 1.5",
+                id="p_rho_hat-above-one",
+            ),
+            # Rounds 1 and 2 each hold D's steps, then G's: steps 0-6 and
+            # 24-28 are D's, steps 7-23 and 29-41 G's.
+            pytest.param(
+                "tracking", {("steps", 23, "round_index"): 2},
+                "steps[23].turn: expected 'D' to open round 2, got 'G'",
+                id="round-opens-with-g",
+            ),
+            pytest.param(
+                "bloch-snapshots", {("steps", 24, "round_index"): 1},
+                "steps[24].turn: expected 'G' after a 'G' step in round 1, got 'D'",
+                id="d-after-g-in-a-round",
+            ),
         ],
     )
     def test_impossible_document_exits_2(self, config_path, tmp_path, capsys, kind, edits, message):

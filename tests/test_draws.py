@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgan_sim
-from qgan_sim import DensityMatrix, _draws, estimate_d, sample_frequency
+from qgan_sim import ConfigError, DensityMatrix, _draws, estimate_d, sample_frequency
 from qgan_sim._draws import binomial, bitgen
 from qgan_sim.sampling import _SIDE, _axis_side
 
@@ -68,6 +68,16 @@ def test_refused_input_raises_numpys_error(n, p):
     assert rng.random() == twin.random()  # a refused draw takes no uniform
     with pytest.raises(ValueError, match="^(probability|shot count): "):
         sample_frequency(p, n, rng)
+
+
+def test_a_generator_of_another_kind_is_named():
+    # numpy's legacy RandomState has no bit generator capsule to draw on.
+    message = r"^rng: expected a Generator, got RandomState\(MT19937\)"
+    with pytest.raises(ConfigError, match=message):
+        sample_frequency(0.5, 10, np.random.RandomState(0))
+    with pytest.raises(ConfigError, match=message):
+        estimate_d((0.5, 0.0, 0.0), (0.0, 0.0), DensityMatrix.pure_ground(), 10,
+                   rng=np.random.RandomState(0))
 
 
 NAN_BRANCHES = ((math.nan,) * 3, (0.0, 0.0, -1.0))

@@ -189,7 +189,7 @@ class TestFiniteDiffGradient:
         assert abs(grads.std(ddof=1) - predicted_sd) / predicted_sd < 0.10
 
     def test_unknown_parameter(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
+        with pytest.raises(ValueError, match=r"^param: expected one of \('r', .*got 'zeta'$"):
             finite_diff_gradient(
                 "zeta", GeneratorParams(1, 0, 0), MeasurementParams(0, 0),
                 GROUND, exact_config(), np.random.default_rng(0),
@@ -393,9 +393,9 @@ class TestRunGame:
     @pytest.mark.parametrize(
         "initial, message",
         [
-            ((1.5, 1.0, 0.3, 0.5, 0.5), r"r must be in \[0, 1\], got 1.5"),
-            ((0.6, math.inf, 0.3, 0.5, 0.5), "theta, phi, beta and gamma must be finite"),
-            ((0.6, 1.0, 0.3, math.nan, 0.5), "theta, phi, beta and gamma must be finite"),
+            ((1.5, 1.0, 0.3, 0.5, 0.5), r"^initial.r: expected a number in \[0, 1\], got 1.5$"),
+            ((0.6, math.inf, 0.3, 0.5, 0.5), "^initial.theta: expected a finite number, got inf$"),
+            ((0.6, 1.0, 0.3, math.nan, 0.5), "^initial.beta: expected a finite number, got nan$"),
             ((0.6, 1.0, 0.3, 0.5), r"initial must be \(r, theta, phi, beta, gamma\)"),
             (
                 (GeneratorParams(0.6, 1.0, 0.3), MeasurementParams(0.5, 0.5)),
@@ -428,6 +428,22 @@ class TestRunGame:
         with pytest.raises(ValueError, match=message):
             run_game(GROUND, GameConfig(seed=0), rng=rng, initial=initial)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("x", GameConfig()), "^sigma: expected a DensityMatrix, got 'x'$"),
+            ((GROUND, {"c_limit": 5}), r"^config: expected a GameConfig, got \{'c_limit': 5\}$"),
+            (
+                (GROUND, GameConfig(shots=10), np.random.RandomState(0)),
+                r"^rng: expected a Generator, got RandomState\(MT19937\)",
+            ),
+        ],
+        ids=["sigma", "config", "rng"],
+    )
+    def test_an_argument_of_the_wrong_kind_is_named(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            run_game(*args)
 
     def test_an_opening_is_recorded_as_plain_floats(self):
         # Integers and numpy floats are stored as floats, so the document

@@ -374,6 +374,13 @@ class TestBatch:
             solo = run_experiment(fast_spec(seed=100 + k))
             assert trace == solo
 
+    @pytest.mark.parametrize(
+        "play", [lambda spec: run_batch(spec, 1), run_experiment], ids=["batch", "experiment"]
+    )
+    def test_a_spec_of_the_wrong_kind_is_named(self, play):
+        with pytest.raises(ConfigError, match="^spec: expected an ExperimentSpec, got 'x'$"):
+            play("x")
+
     def test_parallel_equals_serial(self):
         spec = fast_spec(seed=100)
         serial = run_batch(spec, 6, jobs=1)

@@ -96,7 +96,10 @@ class TestOutcomeEstimate:
 
     @pytest.mark.parametrize("p_rho, p_sigma", [(1.5, 0.5), (0.5, -0.25)])
     def test_rejects_frequency_outside_unit_interval(self, p_rho, p_sigma):
-        with pytest.raises(ValueError, match="frequencies"):
+        # The first frequency outside [0, 1] is named.
+        field, value = ("p_rho_hat", p_rho) if not 0 <= p_rho <= 1 else ("p_sigma_hat", p_sigma)
+        message = rf"^{field}: expected a number in \[0, 1\], got {value}$"
+        with pytest.raises(ValueError, match=message):
             OutcomeEstimate(p_rho, p_sigma, p_rho - p_sigma, 100)
 
     def test_exact_mode_sentinel(self):
